@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
+.PHONY: all build vet fmt-check lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
 
 all: build vet lint test
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked Go file is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # sx4lint enforces the repo's determinism, layering and
 # golden-stability invariants (see DESIGN.md, "Static analysis").
@@ -48,17 +52,18 @@ race-full:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# What CI runs (see .github/workflows/ci.yml): vet (plus staticcheck
-# and govulncheck when installed — CI installs them, local runs skip
-# them gracefully), sx4lint, build, the full test suite under the race
+# What CI runs (see .github/workflows/ci.yml): the gofmt gate, vet
+# (plus staticcheck and govulncheck when installed — CI installs them,
+# local runs skip them gracefully), sx4lint, build, the full test suite under the race
 # detector, the golden-artifact check, the cross-machine smoke sweep,
 # the resilience smoke, the fleet capacity smoke (golden-pinned
 # capacity artifact plus a live -fleet run), the cold-sweep and
-# capacity scaling smokes (1k memo-cold scenarios each, checksums
-# cross-checked), the sx4d daemon smoke (live /healthz and
+# capacity scaling smokes (1k memo-cold scenarios each, worker-count
+# checksums cross-checked), the sx4d daemon smoke (live /healthz and
 # golden-pinned /v1/run over real HTTP), the seeded chaos soak, and
 # the cache warm-restart smoke (SIGTERM → snapshot → reboot → hit).
 ci:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI installs it)"; fi
@@ -161,11 +166,10 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_BASELINE.json
 
 # Record the cold-sweep scaling baseline — the memo-cold 10k-scenario
-# sweep across the machine registry at 1/4/8 workers, plus the
-# interpreted-engine ablation whose ratio to the 8-worker run is
-# pinned as coldsweep_compiled_speedup — as BENCH_SWEEP.json.
+# sweep across the machine registry at 1/4/8 workers, every scenario
+# through the one compiled route — as BENCH_SWEEP.json.
 # bench-sweep-short is the CI smoke: 1k scenarios, one iteration,
-# checksum cross-checked between every variant.
+# checksum cross-checked between every worker count.
 bench-sweep:
 	$(GO) test -run '^$$' -bench '^BenchmarkColdSweep10k$$' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_SWEEP.json
 

@@ -21,7 +21,6 @@ import (
 	"sx4bench"
 	"sx4bench/internal/core"
 	"sx4bench/internal/ncar"
-	"sx4bench/internal/target"
 )
 
 func main() {
@@ -40,9 +39,7 @@ func main() {
 	}
 	if *cacheStats {
 		defer func() {
-			if counted, ok := m.(interface{ CacheStats() target.CacheStats }); ok {
-				fmt.Fprintf(os.Stderr, "figures: timing cache %s\n", counted.CacheStats())
-			}
+			fmt.Fprintf(os.Stderr, "figures: timing cache %s\n", m.CacheStats())
 		}()
 	}
 	if err := run(os.Stdout, m, *exp, *csv, *plot, *workers); err != nil {

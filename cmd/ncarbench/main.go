@@ -35,7 +35,6 @@ import (
 	"sx4bench/internal/fault"
 	"sx4bench/internal/fleet"
 	"sx4bench/internal/ncar"
-	"sx4bench/internal/target"
 )
 
 // options collects the command's flags.
@@ -55,7 +54,7 @@ type options struct {
 	// retries caps the attempts per benchmark; 0 means the default.
 	retries int
 	// cachestats prints each machine's timing-memo counters — shard
-	// occupancy and generation drops included — after its results.
+	// occupancy included — after its results.
 	cachestats bool
 
 	// fleet, when non-empty, switches to capacity-planning mode: a
@@ -76,7 +75,7 @@ func main() {
 	flag.StringVar(&o.faults, "faults", "", "fault schedule: a seed for a generated plan, or a schedule-file path ('<at> <kind> <unit>' lines)")
 	flag.Float64Var(&o.deadline, "deadline", 0, "simulated-seconds deadline per benchmark under -faults (0 = none)")
 	flag.IntVar(&o.retries, "retries", 0, "max attempts per benchmark under -faults (0 = default)")
-	flag.BoolVar(&o.cachestats, "cachestats", false, "print each machine's timing-memo counters (shard occupancy, generation drops) after its results")
+	flag.BoolVar(&o.cachestats, "cachestats", false, "print each machine's timing-memo counters (hits, misses, shard occupancy) after its results")
 	flag.StringVar(&o.fleet, "fleet", "", "fleet spec for capacity planning, e.g. 'sx4-32x2,c90' (registry names with optional xN replication)")
 	flag.IntVar(&o.scenarios, "scenarios", 0, "Monte Carlo scenario count for -fleet (0 = the canonical 100)")
 	flag.Int64Var(&o.fleetseed, "fleetseed", 0, "fleet seed every -fleet scenario derives from (0 = the canonical 1996)")
@@ -170,24 +169,17 @@ func runCapacity(w io.Writer, o options) error {
 }
 
 // printCacheStats reports a machine's timing-memo counters when asked.
-// Machines without a memo (or with one disabled) are skipped silently;
-// the optional target.CacheStatser interface keeps the command above
-// the model layer.
+// A machine whose memo saw no lookups is skipped silently.
 func printCacheStats(w io.Writer, tgt sx4bench.Target, enabled bool) error {
 	if !enabled {
 		return nil
 	}
-	cs, ok := tgt.(target.CacheStatser)
-	if !ok {
-		return nil
-	}
-	st := cs.CacheStats()
+	st := tgt.CacheStats()
 	if st.Hits+st.Misses == 0 && st.Entries == 0 {
 		return nil
 	}
-	_, err := fmt.Fprintf(w,
-		"cachestats %s: %s; %d shards (deepest holds %d); generation %d, %d stale entries dropped\n",
-		tgt.Name(), st, st.Shards, st.MaxShardEntries, st.Generation, st.GenerationDrops)
+	_, err := fmt.Fprintf(w, "cachestats %s: %s; %d shards (deepest holds %d)\n",
+		tgt.Name(), st, st.Shards, st.MaxShardEntries)
 	return err
 }
 

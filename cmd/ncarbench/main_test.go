@@ -125,6 +125,7 @@ func TestRunMainFaultsDeterministicAcrossWorkers(t *testing.T) {
 		t.Error("-run all -faults output differs between -workers 1 and -workers 4")
 	}
 }
+
 func TestRunMainCacheStats(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runMain(&buf, options{machine: "sx4-1", benchmark: "RADABS", workers: 1, cachestats: true}); err != nil {
@@ -134,10 +135,13 @@ func TestRunMainCacheStats(t *testing.T) {
 	if !strings.Contains(out, "cachestats SX-4/1:") {
 		t.Fatalf("-cachestats output missing the counter line:\n%s", out)
 	}
-	for _, want := range []string{"shards (deepest holds", "generation", "stale entries dropped"} {
+	for _, want := range []string{" hits, ", " misses (", "shards (deepest holds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cachestats line missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "generation") {
+		t.Errorf("cachestats line still reports memo generations:\n%s", out)
 	}
 
 	// Off by default: the same run without the flag prints no counters.

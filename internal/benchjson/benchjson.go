@@ -36,11 +36,6 @@ type Baseline struct {
 	// RunAllSpeedup is serial ns/op divided by parallel ns/op for the
 	// BenchmarkRunAllSerial / BenchmarkRunAllParallel pair.
 	RunAllSpeedup float64 `json:"runall_parallel_speedup,omitempty"`
-	// ColdSweepSpeedup is the interpreted-engine ablation's ns/op
-	// divided by the compiled path's, both at 8 workers, for the
-	// BenchmarkColdSweep10k pair: what trace compilation buys on a
-	// memo-cold sweep.
-	ColdSweepSpeedup float64 `json:"coldsweep_compiled_speedup,omitempty"`
 	// CapacitySpeedup is serial ns/op divided by 8-worker ns/op for
 	// the BenchmarkCapacityMonteCarlo pair: how the fleet capacity
 	// Monte Carlo scales across workers on the recording host.
@@ -55,7 +50,6 @@ type Baseline struct {
 func Parse(r io.Reader) (Baseline, error) {
 	var b Baseline
 	var serial, parallel float64
-	var sweepCompiled, sweepInterp float64
 	var capSerial, capParallel float64
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -85,10 +79,6 @@ func Parse(r io.Reader) (Baseline, error) {
 			serial = r.NsPerOp
 		case "BenchmarkRunAllParallel":
 			parallel = r.NsPerOp
-		case "BenchmarkColdSweep10k/workers=8":
-			sweepCompiled = r.NsPerOp
-		case "BenchmarkColdSweep10k/uncompiled/workers=8":
-			sweepInterp = r.NsPerOp
 		case "BenchmarkCapacityMonteCarlo/workers=1":
 			capSerial = r.NsPerOp
 		case "BenchmarkCapacityMonteCarlo/workers=8":
@@ -103,9 +93,6 @@ func Parse(r io.Reader) (Baseline, error) {
 	}
 	if serial > 0 && parallel > 0 {
 		b.RunAllSpeedup = serial / parallel
-	}
-	if sweepCompiled > 0 && sweepInterp > 0 {
-		b.ColdSweepSpeedup = sweepInterp / sweepCompiled
 	}
 	if capSerial > 0 && capParallel > 0 {
 		b.CapacitySpeedup = capSerial / capParallel

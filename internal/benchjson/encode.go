@@ -133,7 +133,7 @@ func Write(w io.Writer, b Baseline) error {
 			return err
 		}
 	}
-	var serial, parallel, sweepCompiled, sweepInterp float64
+	var serial, parallel float64
 	var capSerial, capParallel float64
 	for _, r := range b.Benchmarks {
 		if !strings.HasPrefix(r.Name, "Benchmark") {
@@ -151,10 +151,6 @@ func Write(w io.Writer, b Baseline) error {
 			serial = r.NsPerOp
 		case "BenchmarkRunAllParallel":
 			parallel = r.NsPerOp
-		case "BenchmarkColdSweep10k/workers=8":
-			sweepCompiled = r.NsPerOp
-		case "BenchmarkColdSweep10k/uncompiled/workers=8":
-			sweepInterp = r.NsPerOp
 		case "BenchmarkCapacityMonteCarlo/workers=1":
 			capSerial = r.NsPerOp
 		case "BenchmarkCapacityMonteCarlo/workers=8":
@@ -164,10 +160,6 @@ func Write(w io.Writer, b Baseline) error {
 	if derived := deriveSpeedup(serial, parallel); derived != b.RunAllSpeedup {
 		return fmt.Errorf("benchjson: runall_parallel_speedup %v disagrees with the records (Parse would rederive %v)",
 			b.RunAllSpeedup, derived)
-	}
-	if derived := deriveSpeedup(sweepInterp, sweepCompiled); derived != b.ColdSweepSpeedup {
-		return fmt.Errorf("benchjson: coldsweep_compiled_speedup %v disagrees with the records (Parse would rederive %v)",
-			b.ColdSweepSpeedup, derived)
 	}
 	if derived := deriveSpeedup(capSerial, capParallel); derived != b.CapacitySpeedup {
 		return fmt.Errorf("benchjson: capacity_parallel_speedup %v disagrees with the records (Parse would rederive %v)",

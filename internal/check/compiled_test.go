@@ -12,25 +12,22 @@ import (
 	"sx4bench/internal/target"
 )
 
-// The compiled-trace differential suite: the interpreted engine is the
-// oracle, and every property below pins the compiled path — Compile
-// followed by the flat walk — to be bit-identical to it, over the same
-// randomized (config, program, opts) cases the metamorphic suite uses.
+// The compiled-trace differential suite: the interpreted engine
+// (Interpret, which production code never calls) is the oracle, and
+// every property below pins the one production route — memo lookup,
+// Compile and the flat walk, memo store — to be bit-identical to it,
+// over the same randomized (config, program, opts) cases the
+// metamorphic suite uses.
 
-// TestQuickCompiledBitIdentical: with the memo out of the way, the
-// compiled engine and the interpreted engine must agree bit for bit on
-// randomized traces — Clocks, Seconds, Flops, Words, and every phase
-// record.
+// TestQuickCompiledBitIdentical: on a memo-cold machine, Run (the
+// compiled route) and Interpret must agree bit for bit on randomized
+// traces — Clocks, Seconds, Flops, Words, and every phase record.
 func TestQuickCompiledBitIdentical(t *testing.T) {
 	for i, data := range randCases(120) {
 		cfg, p, opts := DecodeCase(data)
-		compiled := sx4.New(cfg)
-		compiled.SetCache(false)
-		interp := sx4.New(cfg)
-		interp.SetCache(false)
-		interp.SetCompiled(false)
-		rc := compiled.Run(p, opts)
-		ri := interp.Run(p, opts)
+		m := sx4.New(cfg)
+		rc := m.Run(p, opts)
+		ri := m.Interpret(p, opts)
 		if !reflect.DeepEqual(rc, ri) {
 			t.Errorf("case %d: compiled run differs from interpreted: %+v vs %+v", i, rc, ri)
 		}
@@ -65,8 +62,8 @@ func TestQuickRunCompiledMatchesRun(t *testing.T) {
 }
 
 // TestQuickWorkstationCompiledBitIdentical: the workstation models
-// carry the same compiled/interpreted pair; both engines and both
-// entry points must agree on randomized traces.
+// carry the same compiled/interpreted pair; both entry points must
+// agree with Interpret on randomized traces.
 func TestQuickWorkstationCompiledBitIdentical(t *testing.T) {
 	ctors := []func() *machine.Workstation{machine.SunSparc20, machine.IBMRS6000590}
 	for i, data := range randCases(60) {
@@ -77,10 +74,8 @@ func TestQuickWorkstationCompiledBitIdentical(t *testing.T) {
 		}
 		for _, ctor := range ctors {
 			compiled := ctor()
-			interp := ctor()
-			interp.SetCompiled(false)
 			rc := compiled.Run(p, target.RunOpts{Procs: 1})
-			ri := interp.Run(p, target.RunOpts{Procs: 1})
+			ri := compiled.Interpret(p, target.RunOpts{Procs: 1})
 			if !reflect.DeepEqual(rc, ri) {
 				t.Errorf("case %d (%s): compiled differs from interpreted: %+v vs %+v",
 					i, compiled.Name(), rc, ri)
@@ -111,12 +106,10 @@ func TestCompiledConcurrentReuse(t *testing.T) {
 	}
 	cfg := sx4.Benchmarked()
 	oracle := sx4.New(cfg)
-	oracle.SetCache(false)
-	oracle.SetCompiled(false)
 	units := make([]unit, len(cases))
 	for i, data := range cases {
 		_, p, opts := DecodeCase(data)
-		units[i] = unit{p: p, c: prog.MustCompile(p), opts: opts, want: oracle.Run(p, opts)}
+		units[i] = unit{p: p, c: prog.MustCompile(p), opts: opts, want: oracle.Interpret(p, opts)}
 	}
 
 	shared := sx4.New(cfg)

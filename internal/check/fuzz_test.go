@@ -48,9 +48,10 @@ func FuzzProgramFingerprint(f *testing.F) {
 }
 
 // FuzzMachineRun decodes a full (config, program, opts) case and checks
-// run-cache coherence: cached, clone-keyed, and uncached runs must be
-// deep-equal; totals must match the program's analytic counts; times
-// must be finite and non-negative. Any panic is a finding.
+// run-cache coherence: cached and clone-keyed runs must be deep-equal
+// to the interpreted oracle; totals must match the program's analytic
+// counts; times must be finite and non-negative. Any panic is a
+// finding.
 func FuzzMachineRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
@@ -63,16 +64,14 @@ func FuzzMachineRun(f *testing.F) {
 		m := sx4.New(cfg)
 		cold := m.Run(p, opts)
 		// A clone has the same fingerprint, so it must hit the memo and
-		// return the identical result; an uncached machine must agree.
+		// return the identical result; the interpreter must agree.
 		viaClone := m.Run(p.Clone(), opts)
-		fresh := sx4.New(cfg)
-		fresh.SetCache(false)
-		direct := fresh.Run(p, opts)
+		direct := m.Interpret(p, opts)
 		if !reflect.DeepEqual(cold, viaClone) {
 			t.Fatalf("clone-keyed cached run differs:\n%+v\n%+v", cold, viaClone)
 		}
 		if !reflect.DeepEqual(cold, direct) {
-			t.Fatalf("cached and uncached runs differ:\n%+v\n%+v", cold, direct)
+			t.Fatalf("cached and interpreted runs differ:\n%+v\n%+v", cold, direct)
 		}
 		if cold.Flops != p.Flops() {
 			t.Fatalf("Result.Flops=%d, program says %d", cold.Flops, p.Flops())

@@ -45,23 +45,21 @@ func TestMetamorphicClockInverse(t *testing.T) {
 	}
 }
 
-// TestMetamorphicCacheTransparent: a warm memoized run, a second warm
-// run, and a run on an uncached machine must agree exactly — the memo
-// may never change results, only skip work.
+// TestMetamorphicCacheTransparent: a cold memoized run, a warm run,
+// and the interpreted oracle must agree exactly — the memo may never
+// change results, only skip work.
 func TestMetamorphicCacheTransparent(t *testing.T) {
 	for i, data := range randCases(40) {
 		cfg, p, opts := DecodeCase(data)
 		cached := sx4.New(cfg)
 		cold := cached.Run(p, opts)
 		warm := cached.Run(p, opts)
-		uncached := sx4.New(cfg)
-		uncached.SetCache(false)
-		direct := uncached.Run(p, opts)
+		direct := cached.Interpret(p, opts)
 		if !reflect.DeepEqual(cold, warm) {
 			t.Errorf("case %d: warm run differs from cold run", i)
 		}
 		if !reflect.DeepEqual(cold, direct) {
-			t.Errorf("case %d: cached result differs from uncached: %+v vs %+v", i, cold, direct)
+			t.Errorf("case %d: cached result differs from interpreted: %+v vs %+v", i, cold, direct)
 		}
 	}
 }

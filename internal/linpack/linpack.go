@@ -200,7 +200,7 @@ var traces target.TraceCache[int]
 
 // MFLOPS models the benchmark rate on a machine at order n.
 func MFLOPS(m target.Target, n int) float64 {
-	ct := traces.Get(n, func() prog.Program { return Trace(n) })
-	r := ct.Run(m, target.RunOpts{Procs: 1})
+	c := traces.Get(n, func() prog.Program { return Trace(n) })
+	r := m.RunCompiled(c, target.RunOpts{Procs: 1})
 	return Flops(n) / r.Seconds / 1e6
 }

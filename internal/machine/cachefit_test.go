@@ -18,12 +18,12 @@ import (
 // 10:1 cache-to-memory bandwidth ratio, so a cache miss is unmissable
 // in the timing.
 func ws64() *Workstation {
-	return &Workstation{
+	return NewWorkstation(WorkstationParams{
 		ModelName: "test-64KB", ClockNS: 10,
 		FlopsPerClock: 1, CacheKB: 64,
 		CacheWordsPerClock: 1, MemWordsPerClock: 0.1,
 		GatherPenalty: 1.5, IntrinsicClocks: 50, IssuePerClock: 1,
-	}
+	})
 }
 
 // copyTrip returns a one-trip copy loop moving words words through the
@@ -47,13 +47,13 @@ func TestCacheFitAtEdge(t *testing.T) {
 	fits := runClocks(w, copyTrip(edge))
 	// A working set exactly filling the cache is served at cache speed:
 	// words/CacheWordsPerClock + loop overhead.
-	wantFits := float64(edge)/w.CacheWordsPerClock + 4/w.IssuePerClock
+	wantFits := float64(edge)/w.params.CacheWordsPerClock + 4/w.params.IssuePerClock
 	if fits != wantFits {
 		t.Errorf("at-edge trip: %v clocks, want cache-speed %v", fits, wantFits)
 	}
 
-	exceeds := runClocks(w, copyTrip(edge + 1))
-	wantExceeds := float64(edge+1)/w.MemWordsPerClock + 4/w.IssuePerClock
+	exceeds := runClocks(w, copyTrip(edge+1))
+	wantExceeds := float64(edge+1)/w.params.MemWordsPerClock + 4/w.params.IssuePerClock
 	if exceeds != wantExceeds {
 		t.Errorf("one-word-over trip: %v clocks, want memory-speed %v", exceeds, wantExceeds)
 	}
@@ -73,7 +73,7 @@ func TestCacheFitStraddle(t *testing.T) {
 
 	alone := runClocks(w, prog.Simple("half", 1,
 		prog.Op{Class: prog.VLoad, VL: half, Stride: 1}))
-	wantAlone := float64(half)/w.CacheWordsPerClock + 4/w.IssuePerClock
+	wantAlone := float64(half)/w.params.CacheWordsPerClock + 4/w.params.IssuePerClock
 	if alone != wantAlone {
 		t.Fatalf("half-cache stream: %v clocks, want cache-speed %v", alone, wantAlone)
 	}
@@ -85,7 +85,7 @@ func TestCacheFitStraddle(t *testing.T) {
 		prog.Op{Class: prog.VLoad, VL: half, Stride: 1},
 		prog.Op{Class: prog.VStore, VL: half, Stride: 1},
 	))
-	wantStraddle := 3*float64(half)/w.MemWordsPerClock + 4/w.IssuePerClock
+	wantStraddle := 3*float64(half)/w.params.MemWordsPerClock + 4/w.params.IssuePerClock
 	if straddle != wantStraddle {
 		t.Errorf("straddling trip: %v clocks, want memory-speed %v", straddle, wantStraddle)
 	}

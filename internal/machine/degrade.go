@@ -27,30 +27,21 @@ func (v *Vector) Degraded(d fault.Degradation) (target.Target, error) {
 // Degraded derives a workstation operating under the given fault
 // impact. Workstations are uniprocessors, so any CPU loss takes the
 // whole machine down; bank and port degradations slow the memory and
-// cache paths. The copy starts with a cold memo and a parameter set
+// cache paths. The copy starts with cold caches and a parameter set
 // that fingerprints differently from the healthy machine.
 func (w *Workstation) Degraded(d fault.Degradation) (target.Target, error) {
 	if d.CPUsLost > 0 {
 		return nil, fmt.Errorf("machine: %s: uniprocessor CPU failed: %w",
-			w.ModelName, target.ErrMachineDown)
+			w.params.ModelName, target.ErrMachineDown)
 	}
-	c := *w
-	c.memo = target.NewMemo()
-	if w.progs != nil {
-		// Compiled timings bake in the healthy memory and cache rates;
-		// the degraded copy must recompile against its own.
-		c.progs = &target.FPCache[*wsTiming]{}
-	}
+	p := w.params
 	for i := 0; i < d.BankHalvings; i++ {
-		c.MemWordsPerClock /= 2
+		p.MemWordsPerClock /= 2
 	}
 	for i := 0; i < d.PortHalvings; i++ {
-		c.CacheWordsPerClock /= 2
+		p.CacheWordsPerClock /= 2
 	}
 	// IOP stalls do not affect the workstation compute model (no I/O
 	// subsystem is modeled; the disk-dependent rows are gated off).
-	if c.fp != 0 {
-		c.fp = c.computeFingerprint()
-	}
-	return &c, nil
+	return NewWorkstation(p), nil
 }

@@ -69,11 +69,11 @@ func TestWorkstationDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	dw := dt.(*Workstation)
-	if dw.MemWordsPerClock != w.MemWordsPerClock/2 {
-		t.Errorf("degraded memory bandwidth = %v, want %v", dw.MemWordsPerClock, w.MemWordsPerClock/2)
+	if dw.params.MemWordsPerClock != w.params.MemWordsPerClock/2 {
+		t.Errorf("degraded memory bandwidth = %v, want %v", dw.params.MemWordsPerClock, w.params.MemWordsPerClock/2)
 	}
-	if dw.CacheWordsPerClock != w.CacheWordsPerClock/2 {
-		t.Errorf("degraded cache bandwidth = %v, want %v", dw.CacheWordsPerClock, w.CacheWordsPerClock/2)
+	if dw.params.CacheWordsPerClock != w.params.CacheWordsPerClock/2 {
+		t.Errorf("degraded cache bandwidth = %v, want %v", dw.params.CacheWordsPerClock, w.params.CacheWordsPerClock/2)
 	}
 	if dw.Fingerprint() == w.Fingerprint() {
 		t.Error("degraded workstation fingerprints identically to healthy")

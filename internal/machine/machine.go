@@ -122,10 +122,9 @@ func baseCray(name string, clockNS float64, cpus, pipes, regElems int) sx4.Confi
 
 // --- Workstation (cache-based scalar) model ---
 
-// Workstation models a cache-based superscalar workstation: vector
-// operations execute as scalar loops; memory cost depends on whether
-// the loop's working set fits in the data cache.
-type Workstation struct {
+// WorkstationParams is the calibration of the cache-based scalar
+// model.
+type WorkstationParams struct {
 	ModelName string
 	ClockNS   float64
 	// FlopsPerClock is the sustained floating-point issue rate.
@@ -143,65 +142,69 @@ type Workstation struct {
 	IntrinsicClocks float64
 	// IssuePerClock is the integer/control issue width.
 	IssuePerClock float64
+}
 
+// Workstation models a cache-based superscalar workstation: vector
+// operations execute as scalar loops; memory cost depends on whether
+// the loop's working set fits in the data cache. Build one with
+// NewWorkstation; its parameters are fixed from then on.
+type Workstation struct {
+	params WorkstationParams
 	// memo holds memoized trace timings keyed on the model's
-	// fingerprint; nil (the zero value) disables memoization, so
-	// literal-constructed Workstations keep working.
+	// fingerprint.
 	memo *target.Memo
 	// progs caches compiled per-phase timings keyed by program
 	// fingerprint — the workstation model ignores RunOpts entirely, so
 	// a compiled trace answers every memo-cold Run with a flat copy.
-	// nil (the zero value) interprets the trace each time.
 	progs *target.FPCache[*wsTiming]
-	// fp is the precomputed configuration fingerprint; zero (the
-	// literal-construction default) recomputes on every call, so
-	// hand-built workstations stay correct under field mutation. The
-	// registered constructors and Degraded stamp it — like the rest of
-	// the model, stamped machines follow "configure first, then share".
+	// fp is the configuration fingerprint, stamped by NewWorkstation.
 	fp uint64
 }
 
 var _ target.Target = (*Workstation)(nil)
 
+// NewWorkstation returns a workstation with the given parameters, a
+// cold timing memo and a cold compiled-trace cache.
+func NewWorkstation(p WorkstationParams) *Workstation {
+	return &Workstation{
+		params: p,
+		memo:   target.NewMemo(),
+		progs:  &target.FPCache[*wsTiming]{},
+		fp:     p.fingerprint(),
+	}
+}
+
 // SunSparc20 models a 75 MHz SuperSPARC SUN Sparc 20.
 func SunSparc20() *Workstation {
-	w := &Workstation{
+	return NewWorkstation(WorkstationParams{
 		ModelName: "SUN Sparc 20", ClockNS: 13.33,
 		FlopsPerClock: 0.55, CacheKB: 16,
 		CacheWordsPerClock: 1, MemWordsPerClock: 0.12,
 		GatherPenalty: 1.5, IntrinsicClocks: 100, IssuePerClock: 1.2,
-		memo:  target.NewMemo(),
-		progs: &target.FPCache[*wsTiming]{},
-	}
-	w.fp = w.computeFingerprint()
-	return w
+	})
 }
 
 // IBMRS6000590 models a 66.5 MHz POWER2 IBM RS6000/590.
 func IBMRS6000590() *Workstation {
-	w := &Workstation{
+	return NewWorkstation(WorkstationParams{
 		ModelName: "IBM RS6000/590", ClockNS: 15.04,
 		FlopsPerClock: 2.2, CacheKB: 256,
 		CacheWordsPerClock: 2, MemWordsPerClock: 0.4,
 		GatherPenalty: 1.5, IntrinsicClocks: 70, IssuePerClock: 2,
-		memo:  target.NewMemo(),
-		progs: &target.FPCache[*wsTiming]{},
-	}
-	w.fp = w.computeFingerprint()
-	return w
+	})
 }
 
 // Name returns the model designation.
-func (w *Workstation) Name() string { return w.ModelName }
+func (w *Workstation) Name() string { return w.params.ModelName }
 
 // Scalar returns the workstation's scalar profile.
 func (w *Workstation) Scalar() ScalarProfile {
 	return ScalarProfile{
-		ClockNS:            w.ClockNS,
-		IssuePerClock:      w.IssuePerClock,
+		ClockNS:            w.params.ClockNS,
+		IssuePerClock:      w.params.IssuePerClock,
 		HasCache:           true,
-		CacheWordsPerClock: w.CacheWordsPerClock,
-		MemClocksPerWord:   1 / w.MemWordsPerClock,
+		CacheWordsPerClock: w.params.CacheWordsPerClock,
+		MemClocksPerWord:   1 / w.params.MemWordsPerClock,
 	}
 }
 
@@ -210,119 +213,62 @@ func (w *Workstation) Scalar() ScalarProfile {
 func (w *Workstation) Spec() target.Spec {
 	return target.Spec{
 		CPUs: 1, Nodes: 1,
-		ClockNS:          w.ClockNS,
+		ClockNS:          w.params.ClockNS,
 		PeakMFLOPSPerCPU: w.PeakMFLOPS(),
 	}
 }
 
-// Fingerprint returns the configuration fingerprint: the stamped one
-// when the workstation came from a constructor, recomputed per call
-// otherwise. A memo-cold Run pays the hash on every lookup, so
-// stamping matters in sweep loops.
-func (w *Workstation) Fingerprint() uint64 {
-	if w.fp != 0 {
-		return w.fp
-	}
-	return w.computeFingerprint()
-}
+// Fingerprint returns the configuration fingerprint.
+func (w *Workstation) Fingerprint() uint64 { return w.fp }
 
-// computeFingerprint hashes the model parameters (field by field — the
-// unexported memo pointer must not enter the hash), so memoized
-// timings can never be served across model variants.
-func (w *Workstation) computeFingerprint() uint64 {
+// fingerprint hashes the model parameters, so memoized timings can
+// never be served across model variants.
+func (p WorkstationParams) fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "ws|%s|%v|%v|%d|%v|%v|%v|%v|%v",
-		w.ModelName, w.ClockNS, w.FlopsPerClock, w.CacheKB,
-		w.CacheWordsPerClock, w.MemWordsPerClock,
-		w.GatherPenalty, w.IntrinsicClocks, w.IssuePerClock)
+		p.ModelName, p.ClockNS, p.FlopsPerClock, p.CacheKB,
+		p.CacheWordsPerClock, p.MemWordsPerClock,
+		p.GatherPenalty, p.IntrinsicClocks, p.IssuePerClock)
 	return h.Sum64()
 }
 
 // Clone returns a fresh workstation with the same parameters, a cold
 // timing memo and a cold compiled-trace cache.
-func (w *Workstation) Clone() target.Target {
-	c := *w
-	c.memo = target.NewMemo()
-	if w.progs != nil {
-		c.progs = &target.FPCache[*wsTiming]{}
-	}
-	return &c
-}
+func (w *Workstation) Clone() target.Target { return NewWorkstation(w.params) }
 
 // CacheStats returns the workstation's timing-memo counters.
-func (w *Workstation) CacheStats() target.CacheStats {
-	if w.memo == nil {
-		return target.CacheStats{}
-	}
-	return w.memo.Stats()
-}
+func (w *Workstation) CacheStats() target.CacheStats { return w.memo.Stats() }
 
 // Run executes a trace on the workstation model. opts.Procs is ignored
-// (the Table 1 comparisons are single-processor). Memo misses execute
-// the compiled trace when the compiled path is enabled; results are
-// bit-identical to the interpreted engine either way.
+// (the Table 1 comparisons are single-processor).
 func (w *Workstation) Run(p prog.Program, opts sx4.RunOpts) sx4.Result {
-	if w.memo == nil && w.progs == nil {
-		return w.simulate(p)
-	}
-	fp := p.Fingerprint()
-	var k target.MemoKey
-	if w.memo != nil {
-		k = target.MemoKey{Config: w.Fingerprint(), Program: fp, Opts: opts}
-		if r, ok := w.memo.Lookup(k); ok {
-			return r
-		}
-	}
-	var r sx4.Result
-	if w.progs != nil {
-		ct := w.progs.LoadOrStore(fp, func() *wsTiming {
-			return w.compile(prog.MustCompile(p))
-		})
-		r = ct.result()
-	} else {
-		r = w.simulate(p)
-	}
-	if w.memo != nil {
-		w.memo.Store(k, r)
-	}
-	return r
+	return w.run(p.Fingerprint(), opts, p, nil)
 }
 
 // RunCompiled is Run for a pre-flattened trace: c carries its
-// fingerprint, so the memo and compiled-timing caches are keyed
-// without re-hashing the program structure on every call. Results are
-// bit-identical to Run on the source program.
+// fingerprint, so the caches are keyed without re-hashing the program
+// structure on every call.
 func (w *Workstation) RunCompiled(c *prog.Compiled, opts sx4.RunOpts) sx4.Result {
-	var k target.MemoKey
-	if w.memo != nil {
-		k = target.MemoKey{Config: w.Fingerprint(), Program: c.Fingerprint, Opts: opts}
-		if r, ok := w.memo.Lookup(k); ok {
-			return r
-		}
-	}
-	var r sx4.Result
-	if w.progs != nil {
-		r = w.progs.LoadOrStore(c.Fingerprint, func() *wsTiming { return w.compile(c) }).result()
-	} else {
-		r = w.compile(c).result()
-	}
-	if w.memo != nil {
-		w.memo.Store(k, r)
-	}
-	return r
+	return w.run(c.Fingerprint, opts, prog.Program{}, c)
 }
 
-// SetCompiled enables or disables the compiled-trace execution path
-// (enabled for the registered constructors; the zero value starts
-// disabled). Must not race with concurrent Run calls.
-func (w *Workstation) SetCompiled(enabled bool) {
-	if enabled {
-		if w.progs == nil {
-			w.progs = &target.FPCache[*wsTiming]{}
-		}
-		return
+// run is the workstation's one execution route: a memo lookup; on a
+// miss, the trace's compiled timing, built on first use from c, or
+// from p when the caller holds no compiled form; then a memo store. fp
+// is the program fingerprint.
+func (w *Workstation) run(fp uint64, opts sx4.RunOpts, p prog.Program, c *prog.Compiled) sx4.Result {
+	k := target.MemoKey{Config: w.fp, Program: fp, Opts: opts}
+	if r, ok := w.memo.Lookup(k); ok {
+		return r
 	}
-	w.progs = nil
+	r := w.progs.LoadOrStore(fp, func() *wsTiming {
+		if c != nil {
+			return w.compile(c)
+		}
+		return w.compile(prog.MustCompile(p))
+	}).result()
+	w.memo.Store(k, r)
+	return r
 }
 
 // wsTiming is a program compiled against the workstation model: the
@@ -352,7 +298,7 @@ func (t *wsTiming) result() sx4.Result {
 	return r
 }
 
-// compile evaluates the flattened trace once, mirroring simulate
+// compile evaluates the flattened trace once, mirroring Interpret
 // operation for operation so compiled results are bit-identical.
 func (w *Workstation) compile(c *prog.Compiled) *wsTiming {
 	t := &wsTiming{name: c.Name}
@@ -371,14 +317,15 @@ func (w *Workstation) compile(c *prog.Compiled) *wsTiming {
 		t.clocks += phClocks
 		t.flops += ph.Flops
 	}
-	t.seconds = t.clocks * w.ClockNS * 1e-9
+	t.seconds = t.clocks * w.params.ClockNS * 1e-9
 	return t
 }
 
-// simulate evaluates the model by interpreting the trace, consulting
-// neither the memo nor the compiled-trace cache: the differential
-// oracle the compiled path is checked against.
-func (w *Workstation) simulate(p prog.Program) sx4.Result {
+// Interpret evaluates the model by walking the source trace op by op,
+// consulting neither the memo nor the compiled-trace cache. It is the
+// differential oracle the compiled route is checked against: production
+// code never calls it. opts.Procs is ignored, as in Run.
+func (w *Workstation) Interpret(p prog.Program, opts sx4.RunOpts) sx4.Result {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -401,7 +348,7 @@ func (w *Workstation) simulate(p prog.Program) sx4.Result {
 		res.Clocks += phClocks
 		res.Flops += ph.Flops()
 	}
-	res.Seconds = res.Clocks * w.ClockNS * 1e-9
+	res.Seconds = res.Clocks * w.params.ClockNS * 1e-9
 	return res
 }
 
@@ -414,7 +361,7 @@ func (w *Workstation) tripClocks(body []prog.Op) float64 {
 	for _, op := range body {
 		tripWords += op.Words()
 	}
-	inCache := float64(tripWords)*8 <= float64(w.CacheKB)*1024
+	inCache := float64(tripWords)*8 <= float64(w.params.CacheKB)*1024
 
 	var clocks float64
 	for _, op := range body {
@@ -425,44 +372,44 @@ func (w *Workstation) tripClocks(body []prog.Op) float64 {
 			if op.FlopsPerElem > 1 {
 				weight = float64(op.FlopsPerElem)
 			}
-			cost := weight * vl / w.FlopsPerClock
+			cost := weight * vl / w.params.FlopsPerClock
 			if op.Class == prog.VDiv {
 				cost *= 8 // scalar divides are long-latency
 			}
 			clocks += cost
 		case prog.VLogical:
-			clocks += vl / w.IssuePerClock
+			clocks += vl / w.params.IssuePerClock
 		case prog.VLoad, prog.VStore:
 			if inCache {
-				clocks += vl / w.CacheWordsPerClock
+				clocks += vl / w.params.CacheWordsPerClock
 			} else {
-				clocks += vl / w.MemWordsPerClock
+				clocks += vl / w.params.MemWordsPerClock
 			}
 		case prog.VGather, prog.VScatter:
 			if inCache {
-				clocks += vl / w.CacheWordsPerClock
+				clocks += vl / w.params.CacheWordsPerClock
 			} else {
-				clocks += vl * w.GatherPenalty / w.MemWordsPerClock
+				clocks += vl * w.params.GatherPenalty / w.params.MemWordsPerClock
 			}
 		case prog.VIntrinsic:
-			clocks += vl * w.IntrinsicClocks
+			clocks += vl * w.params.IntrinsicClocks
 		case prog.Scalar:
-			clocks += float64(op.Count) / w.IssuePerClock
+			clocks += float64(op.Count) / w.params.IssuePerClock
 		}
 	}
 	// Loop control overhead.
-	return clocks + 4/w.IssuePerClock
+	return clocks + 4/w.params.IssuePerClock
 }
 
 // PeakMFLOPS returns the workstation's nominal peak rate.
 func (w *Workstation) PeakMFLOPS() float64 {
-	return w.FlopsPerClock * 1e3 / w.ClockNS
+	return w.params.FlopsPerClock * 1e3 / w.params.ClockNS
 }
 
 // String describes the workstation.
 func (w *Workstation) String() string {
 	return fmt.Sprintf("%s (%.0f MHz, %.0f MFLOPS peak)",
-		w.ModelName, 1e3/w.ClockNS, math.Round(w.PeakMFLOPS()))
+		w.params.ModelName, 1e3/w.params.ClockNS, math.Round(w.PeakMFLOPS()))
 }
 
 // Table1Targets returns the four comparison systems in the paper's

@@ -77,29 +77,29 @@ func CrossMachineTable() (core.Table, error) {
 
 	copyK := last(kernels.CopySweep(1))
 	row("COPY (MB/s)", func(tgt target.Target) string {
-		r := copyTrace(copyK).Run(tgt, opts1)
+		r := tgt.RunCompiled(copyTrace(copyK), opts1)
 		return fmt.Sprintf("%.1f", float64(copyK.PayloadBytes())/r.Seconds/1e6)
 	})
 	iaK := last(kernels.IASweep(1))
 	row("IA (MB/s)", func(tgt target.Target) string {
-		r := iaTrace(iaK).Run(tgt, opts1)
+		r := tgt.RunCompiled(iaTrace(iaK), opts1)
 		return fmt.Sprintf("%.1f", float64(iaK.PayloadBytes())/r.Seconds/1e6)
 	})
 	xpK := last(kernels.XposeSweep(1))
 	row("XPOSE (MB/s)", func(tgt target.Target) string {
-		r := xposeTrace(xpK).Run(tgt, opts1)
+		r := tgt.RunCompiled(xposeTrace(xpK), opts1)
 		return fmt.Sprintf("%.1f", float64(xpK.PayloadBytes())/r.Seconds/1e6)
 	})
 
 	const rfftN = 1024
 	rfftM := fftpack.RFFTInstances(rfftN)
 	row("RFFT (MFLOPS)", func(tgt target.Target) string {
-		r := rfftTrace(rfftN, rfftM).Run(tgt, opts1)
+		r := tgt.RunCompiled(rfftTrace(rfftN, rfftM), opts1)
 		return fmt.Sprintf("%.1f", fftpack.NominalMFLOPS(rfftN, rfftM, r.Seconds))
 	})
 	const vfftN, vfftM = 256, 500
 	row("VFFT (MFLOPS)", func(tgt target.Target) string {
-		r := vfftTrace(vfftN, vfftM).Run(tgt, opts1)
+		r := tgt.RunCompiled(vfftTrace(vfftN, vfftM), opts1)
 		return fmt.Sprintf("%.1f", fftpack.NominalMFLOPS(vfftN, vfftM, r.Seconds))
 	})
 

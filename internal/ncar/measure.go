@@ -116,24 +116,24 @@ func Measure(ctx context.Context, m target.Target, name string, cpus int) (Measu
 		}
 	case "COPY":
 		k := last(kernels.CopySweep(1))
-		r := copyTrace(k).Run(m, opts1)
+		r := m.RunCompiled(copyTrace(k), opts1)
 		metric("mbps", float64(k.PayloadBytes())/r.Seconds/1e6)
 	case "IA":
 		k := last(kernels.IASweep(1))
-		r := iaTrace(k).Run(m, opts1)
+		r := m.RunCompiled(iaTrace(k), opts1)
 		metric("mbps", float64(k.PayloadBytes())/r.Seconds/1e6)
 	case "XPOSE":
 		k := last(kernels.XposeSweep(1))
-		r := xposeTrace(k).Run(m, opts1)
+		r := m.RunCompiled(xposeTrace(k), opts1)
 		metric("mbps", float64(k.PayloadBytes())/r.Seconds/1e6)
 	case "RFFT":
 		const n = 1024
 		mm := fftpack.RFFTInstances(n)
-		r := rfftTrace(n, mm).Run(m, opts1)
+		r := m.RunCompiled(rfftTrace(n, mm), opts1)
 		metric("mflops", fftpack.NominalMFLOPS(n, mm, r.Seconds))
 	case "VFFT":
 		const n, mm = 256, 500
-		r := vfftTrace(n, mm).Run(m, opts1)
+		r := m.RunCompiled(vfftTrace(n, mm), opts1)
 		metric("mflops", fftpack.NominalMFLOPS(n, mm, r.Seconds))
 	case "RADABS":
 		metric("mflops", RADABSMFlops(m))

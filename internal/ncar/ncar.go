@@ -120,10 +120,10 @@ func Table1() core.Table {
 	}
 	hintRow := []string{"HINT (MQUIPS)"}
 	radRow := []string{"RADABS (MFLOPS)"}
-	p := radabsTrace(radabs.BenchmarkColumns, radabs.DefaultLevels)
+	c := radabsTrace(radabs.BenchmarkColumns, radabs.DefaultLevels)
 	for _, tgt := range targets {
 		hintRow = append(hintRow, fmt.Sprintf("%.1f", hint.ModelMQUIPS(tgt.Scalar())))
-		r := p.Run(tgt, target.RunOpts{Procs: 1})
+		r := tgt.RunCompiled(c, target.RunOpts{Procs: 1})
 		radRow = append(radRow, fmt.Sprintf("%.1f", r.MFLOPS()))
 	}
 	t.Rows = [][]string{hintRow, radRow}
@@ -356,8 +356,8 @@ func Fig8(m target.Target) core.Figure {
 
 // RADABSMFlops returns the single-CPU RADABS rate (paper: 865.9).
 func RADABSMFlops(m target.Target) float64 {
-	p := radabsTrace(radabs.BenchmarkColumns, radabs.DefaultLevels)
-	return p.Run(m, target.RunOpts{Procs: 1}).MFLOPS()
+	c := radabsTrace(radabs.BenchmarkColumns, radabs.DefaultLevels)
+	return m.RunCompiled(c, target.RunOpts{Procs: 1}).MFLOPS()
 }
 
 // POPMFlops returns the single-CPU 2-degree POP rate (paper: 537).

@@ -155,15 +155,13 @@ func WriteReport(w io.Writer, m target.Target) error {
 	// contrast — rather than from m's live counters (figures -cachestats
 	// prints those).
 	probe := m.Clone()
-	if counted, ok := probe.(interface{ CacheStats() target.CacheStats }); ok {
-		RADABSMFlops(probe)
-		cold := counted.CacheStats()
-		RADABSMFlops(probe)
-		warm := counted.CacheStats()
-		if err := p("\nTiming cache (fresh probe, RADABS twice): cold pass %d misses %d hits; warm pass +%d hits +%d misses\n",
-			cold.Misses, cold.Hits, warm.Hits-cold.Hits, warm.Misses-cold.Misses); err != nil {
-			return err
-		}
+	RADABSMFlops(probe)
+	cold := probe.CacheStats()
+	RADABSMFlops(probe)
+	warm := probe.CacheStats()
+	if err := p("\nTiming cache (fresh probe, RADABS twice): cold pass %d misses %d hits; warm pass +%d hits +%d misses\n",
+		cold.Misses, cold.Hits, warm.Hits-cold.Hits, warm.Misses-cold.Misses); err != nil {
+		return err
 	}
 
 	verdict := "all anchors within bands"
@@ -204,7 +202,7 @@ func ProfileTable(m target.Target, resName string, procs int) (core.Table, error
 	if err != nil {
 		return core.Table{}, err
 	}
-	r := ccm2.CompiledStepTrace(res).Run(m, target.RunOpts{Procs: procs, ActiveCPUs: procs})
+	r := m.RunCompiled(ccm2.CompiledStepTrace(res), target.RunOpts{Procs: procs, ActiveCPUs: procs})
 	t := core.Table{
 		ID:      "profile-" + resName,
 		Title:   fmt.Sprintf("CCM2 %s step profile on %d CPUs", resName, procs),

@@ -175,18 +175,18 @@ func AttemptSeconds(m target.Target, name string, cpus int) float64 {
 		return 30
 	case "COPY":
 		k := last(kernels.CopySweep(1))
-		return 20 * copyTrace(k).Run(m, opts1).Seconds
+		return 20 * m.RunCompiled(copyTrace(k), opts1).Seconds
 	case "IA":
 		k := last(kernels.IASweep(1))
-		return 20 * iaTrace(k).Run(m, opts1).Seconds
+		return 20 * m.RunCompiled(iaTrace(k), opts1).Seconds
 	case "XPOSE":
 		k := last(kernels.XposeSweep(1))
-		return 20 * xposeTrace(k).Run(m, opts1).Seconds
+		return 20 * m.RunCompiled(xposeTrace(k), opts1).Seconds
 	case "RFFT":
 		const n = 1024
-		return 5 * rfftTrace(n, fftpack.RFFTInstances(n)).Run(m, opts1).Seconds
+		return 5 * m.RunCompiled(rfftTrace(n, fftpack.RFFTInstances(n)), opts1).Seconds
 	case "VFFT":
-		return 5 * vfftTrace(256, 500).Run(m, opts1).Seconds
+		return 5 * m.RunCompiled(vfftTrace(256, 500), opts1).Seconds
 	case "RADABS":
 		// Nominal RADABS work at the machine's achieved rate.
 		return 10_000 / RADABSMFlops(m)
@@ -198,7 +198,7 @@ func AttemptSeconds(m target.Target, name string, cpus int) float64 {
 	case "MOM":
 		return 15_000 / mom.SustainedMFLOPS(m)
 	case "POP":
-		return popTrace(pop.TwoDegree).Run(m, opts1).Seconds * 100
+		return m.RunCompiled(popTrace(pop.TwoDegree), opts1).Seconds * 100
 	}
 	return 1
 }

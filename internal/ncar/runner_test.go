@@ -71,4 +71,3 @@ func TestRunBenchmarkPropagatesWriteError(t *testing.T) {
 		}
 	}
 }
-

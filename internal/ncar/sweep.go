@@ -28,11 +28,8 @@ import (
 type SweepScenario struct {
 	// Machine is the registry name (target.All order).
 	Machine string
-	// Trace is the operation trace to time.
-	Trace prog.Program
-	// Compiled is the trace's pre-flattened form, shared by every
-	// scenario over the same trace; targets implementing
-	// target.CompiledRunner execute it directly.
+	// Compiled is the operation trace to time, pre-flattened and
+	// shared by every scenario over the same trace.
 	Compiled *prog.Compiled
 	// Opts is the processor allocation. Values beyond the machine's
 	// CPU count clamp inside Run, as everywhere else.
@@ -70,7 +67,6 @@ func SweepScenarios(n int) []SweepScenario {
 		procs := 1 + (v*5)%32
 		out[i] = SweepScenario{
 			Machine:  machines[m],
-			Trace:    traces[t],
 			Compiled: compiled[t],
 			Opts: target.RunOpts{
 				Procs:      procs,
@@ -86,8 +82,8 @@ func SweepScenarios(n int) []SweepScenario {
 // block loop, repeated over a band count that varies by index, the way
 // the radiation code sweeps spectral bands), one model step (CCM2,
 // MOM or a VFFT batch), and one memory kernel — so a single scenario
-// walks a few hundred ops through the interpreted engine, like the
-// real benchmark drivers do, while the compiled walk stays O(loops).
+// carries a few hundred ops, like the real benchmark drivers' traces,
+// while the compiled walk stays O(loops).
 // Every shape parameter derives arithmetically from the index; the
 // distinct program names guarantee distinct fingerprints.
 func sweepTraces(k int) []prog.Program {
@@ -99,9 +95,9 @@ func sweepTraces(k int) []prog.Program {
 		var phases []prog.Phase
 		// The radiation block: the RADABS pair loop with its body
 		// unrolled over the band count, one long basic block per trip —
-		// the shape the paper calls out for the radiation code. The
-		// interpreted engine walks every op of it on every run; the
-		// compiled walk costs one loop record regardless.
+		// the shape the paper calls out for the radiation code. Each
+		// machine compiles its ops once; every run then costs one loop
+		// record regardless.
 		radLoop := radabs.Trace(8+(t*7)%56, 10+t%12).Phases[0].Loops[0]
 		bands := 8 + t%9
 		body := make([]prog.Op, 0, len(radLoop.Body)*bands)
@@ -143,8 +139,7 @@ func sweepTraces(k int) []prog.Program {
 
 // SweepResult summarizes one cold sweep. Checksum folds every
 // scenario's clock count in index order, so any divergence between
-// worker counts (or between the compiled and interpreted engines) is
-// a one-word comparison.
+// worker counts is a one-word comparison.
 type SweepResult struct {
 	Scenarios int
 	Clocks    float64
@@ -162,10 +157,8 @@ const sweepGrain = 64
 // memos); one instance per machine name is shared by all workers, so
 // the run exercises the memo and the compiled-trace cache under real
 // contention. workers follows the sched convention (0 = GOMAXPROCS,
-// 1 = serial). compiled false disables the compiled-trace path on
-// every machine that has one — the ablation baseline; the summary is
-// bit-identical either way.
-func Sweep(scenarios []SweepScenario, workers int, compiled bool) (SweepResult, error) {
+// 1 = serial).
+func Sweep(scenarios []SweepScenario, workers int) (SweepResult, error) {
 	insts := make(map[string]target.Target)
 	for _, s := range scenarios {
 		if _, ok := insts[s.Machine]; ok {
@@ -175,11 +168,6 @@ func Sweep(scenarios []SweepScenario, workers int, compiled bool) (SweepResult, 
 		if err != nil {
 			return SweepResult{}, fmt.Errorf("ncar: sweep: %w", err)
 		}
-		if !compiled {
-			if cs, ok := t.(target.CompiledSwitcher); ok {
-				cs.SetCompiled(false)
-			}
-		}
 		insts[s.Machine] = t
 	}
 	clocks := make([]float64, len(scenarios))
@@ -187,15 +175,7 @@ func Sweep(scenarios []SweepScenario, workers int, compiled bool) (SweepResult, 
 	var res SweepResult
 	err := sched.ForEachGrain(workers, len(scenarios), sweepGrain, func(i int) error {
 		s := &scenarios[i]
-		t := insts[s.Machine]
-		var r target.Result
-		// The compiled entry point skips per-op fingerprint hashing;
-		// the ablation takes the classic Run path end to end.
-		if cr, ok := t.(target.CompiledRunner); ok && compiled && s.Compiled != nil {
-			r = cr.RunCompiled(s.Compiled, s.Opts)
-		} else {
-			r = t.Run(s.Trace, s.Opts)
-		}
+		r := insts[s.Machine].RunCompiled(s.Compiled, s.Opts)
 		clocks[i] = r.Clocks
 		flops[i] = r.Flops
 		return nil

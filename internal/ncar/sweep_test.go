@@ -17,7 +17,7 @@ func TestSweepScenariosDistinct(t *testing.T) {
 	}
 	seen := make(map[string]int, len(scens))
 	for i, s := range scens {
-		key := fmt.Sprintf("%s/%x/%+v", s.Machine, s.Trace.Fingerprint(), s.Opts)
+		key := fmt.Sprintf("%s/%x/%+v", s.Machine, s.Compiled.Fingerprint, s.Opts)
 		if j, dup := seen[key]; dup {
 			t.Fatalf("scenarios %d and %d collide: %s", j, i, key)
 		}
@@ -27,7 +27,7 @@ func TestSweepScenariosDistinct(t *testing.T) {
 
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	scens := SweepScenarios(600)
-	serial, err := Sweep(scens, 1, true)
+	serial, err := Sweep(scens, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,27 +35,12 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("implausible summary: %+v", serial)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := Sweep(scens, workers, true)
+		got, err := Sweep(scens, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != serial {
 			t.Fatalf("workers=%d summary %+v != serial %+v", workers, got, serial)
 		}
-	}
-}
-
-func TestSweepCompiledMatchesInterpreted(t *testing.T) {
-	scens := SweepScenarios(600)
-	compiled, err := Sweep(scens, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interpreted, err := Sweep(scens, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compiled != interpreted {
-		t.Fatalf("compiled sweep %+v != interpreted sweep %+v", compiled, interpreted)
 	}
 }

@@ -105,17 +105,17 @@ func StepTrace(cfg Config) prog.Program {
 // must never reach a shared copy.
 var stepTraces target.TraceCache[Config]
 
-func compiledStepTrace(cfg Config) target.CompiledTrace {
+func compiledStepTrace(cfg Config) *prog.Compiled {
 	return stepTraces.Get(cfg, func() prog.Program { return StepTrace(cfg) })
 }
 
 // StepFlops returns the credited flops per step.
-func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Compiled.Flops }
+func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Flops }
 
 // SustainedMFLOPS returns the single-processor rate of the 2-degree
 // benchmark — the paper's 537 MFLOPS observation.
 func SustainedMFLOPS(m target.Target) float64 {
-	r := compiledStepTrace(TwoDegree).Run(m, target.RunOpts{Procs: 1})
+	r := m.RunCompiled(compiledStepTrace(TwoDegree), target.RunOpts{Procs: 1})
 	return r.MFLOPS()
 }
 

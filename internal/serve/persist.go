@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"sx4bench/internal/core"
-	"sx4bench/internal/target"
 )
 
 // The cache snapshot format, version 1: the daemon's survivable state
@@ -94,10 +93,8 @@ func (s *Server) Snapshot() *Snapshot {
 	})
 	s.mu.Lock()
 	for name, tgt := range s.targets {
-		if cs, ok := tgt.(target.CacheStatser); ok {
-			ms := cs.CacheStats()
-			sn.Memo = append(sn.Memo, MemoStat{Target: name, Hits: ms.Hits, Misses: ms.Misses})
-		}
+		ms := tgt.CacheStats()
+		sn.Memo = append(sn.Memo, MemoStat{Target: name, Hits: ms.Hits, Misses: ms.Misses})
 	}
 	s.mu.Unlock()
 	// Fold in the books inherited from earlier lives, so a chain of

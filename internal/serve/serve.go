@@ -277,12 +277,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.CapacityScenarioHits = cs.Hits
 	s.mu.Lock()
 	for _, tgt := range s.targets {
-		if cs, ok := tgt.(target.CacheStatser); ok {
-			ms := cs.CacheStats()
-			st.MemoHits += ms.Hits
-			st.MemoMisses += ms.Misses
-			st.MemoEntries += ms.Entries
-		}
+		ms := tgt.CacheStats()
+		st.MemoHits += ms.Hits
+		st.MemoMisses += ms.Misses
+		st.MemoEntries += ms.Entries
 	}
 	s.mu.Unlock()
 	for _, m := range s.restoredMemo {

@@ -2,6 +2,7 @@ package sx4
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"sx4bench/internal/sx4/membank"
@@ -46,57 +47,48 @@ type PhaseTime = target.PhaseTime
 type Result = target.Result
 
 // Machine executes operation traces against an SX-4 configuration. It
-// is safe for concurrent use: runs are pure functions of the (immutable
-// after New) configuration, and the timing memo is concurrency-safe.
+// is safe for concurrent use: the configuration is fixed by New, runs
+// are pure functions of it, and both caches are concurrency-safe.
 type Machine struct {
 	cfg       Config
 	mem       membank.System
 	intrinsic [prog.NumIntrinsics]float64 // clocks per element
 
 	fingerprint uint64       // configFingerprint(cfg), cache key part
-	cache       *target.Memo // memoized trace timings; nil disables
+	cache       *target.Memo // memoized trace timings
 	// progs caches compiled trace timings (see compiled.go) keyed by
-	// program fingerprint; nil routes runs through the interpreted
-	// engine.
+	// program fingerprint.
 	progs *target.FPCache[*compiledProgram]
 }
 
 // Machine implements target.Target.
 var _ target.Target = (*Machine)(nil)
 
-// New returns a machine for the given configuration.
+// New returns a machine for the given configuration. It panics on an
+// invalid configuration.
 func New(cfg Config) *Machine {
-	m := &Machine{}
-	if err := m.setConfig(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m.cache = target.NewMemo()
-	m.progs = &target.FPCache[*compiledProgram]{}
-	return m
-}
-
-// setConfig validates cfg and (re)derives every configuration-dependent
-// field: the memory system, the intrinsic cost table, and the cache-key
-// fingerprint. On error the machine is left unchanged.
-func (m *Machine) setConfig(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
+	m := &Machine{
+		cfg: cfg,
+		mem: membank.System{
+			Banks:          cfg.MemoryBanks,
+			BusyClocks:     cfg.BankBusyClocks,
+			Pipes:          cfg.VectorPipes,
+			StridedPenalty: cfg.StridedPenalty,
+		},
+		intrinsic:   DefaultIntrinsicClocks,
+		fingerprint: configFingerprint(cfg),
+		cache:       target.NewMemo(),
+		progs:       &target.FPCache[*compiledProgram]{},
 	}
-	m.cfg = cfg
-	m.mem = membank.System{
-		Banks:          cfg.MemoryBanks,
-		BusyClocks:     cfg.BankBusyClocks,
-		Pipes:          cfg.VectorPipes,
-		StridedPenalty: cfg.StridedPenalty,
-	}
-	m.intrinsic = DefaultIntrinsicClocks
 	if cfg.IntrinsicScale > 0 {
 		for i := range m.intrinsic {
 			m.intrinsic[i] *= cfg.IntrinsicScale
 		}
 	}
-	m.fingerprint = configFingerprint(cfg)
-	return nil
+	return m
 }
 
 // Config returns the machine's configuration.
@@ -138,6 +130,19 @@ func (m *Machine) Spec() target.Spec {
 // Fingerprint returns the configuration fingerprint (the timing-memo
 // key component).
 func (m *Machine) Fingerprint() uint64 { return m.fingerprint }
+
+// configFingerprint hashes every field of the configuration, so a
+// memoized timing can never be served to a machine built with any
+// other calibration: the memo key covers the whole config, the whole
+// trace and the RunOpts, and nothing else enters a simulation.
+func configFingerprint(cfg Config) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", cfg)
+	return h.Sum64()
+}
+
+// CacheStats returns the machine's timing-memo counters.
+func (m *Machine) CacheStats() target.CacheStats { return m.cache.Stats() }
 
 // Clone returns a fresh machine with the same configuration and a cold
 // timing memo.
@@ -251,43 +256,42 @@ func (c tripCost) memBound() bool {
 		c.memBusy >= c.issue && c.memBusy >= c.intr && c.memBusy > 0
 }
 
-// Run simulates the program on the machine. Identical (program, opts)
-// pairs are served from the timing memo after the first evaluation;
-// memo misses execute the compiled trace (flattened once per program
-// fingerprint, see compiled.go) unless the compiled path is disabled,
-// in which case the interpreted engine below runs. All three routes
-// are bit-identical.
+// Run simulates the program on the machine.
 func (m *Machine) Run(p prog.Program, opts RunOpts) Result {
-	if m.cache == nil && m.progs == nil {
-		return m.simulate(p, opts)
+	return m.run(p.Fingerprint(), opts, p, nil)
+}
+
+// RunCompiled is Run for a pre-flattened trace: c carries its
+// fingerprint, so the run costs no per-op hashing at all.
+func (m *Machine) RunCompiled(c *prog.Compiled, opts RunOpts) Result {
+	return m.run(c.Fingerprint, opts, prog.Program{}, c)
+}
+
+// run is the machine's one execution route: a memo lookup; on a miss,
+// the trace's compiled timing, built on first use from c, or from p
+// when the caller holds no compiled form; then a memo store. fp is the
+// program fingerprint.
+func (m *Machine) run(fp uint64, opts RunOpts, p prog.Program, c *prog.Compiled) Result {
+	k := target.MemoKey{Config: m.fingerprint, Program: fp, Opts: opts}
+	if r, ok := m.cache.Lookup(k); ok {
+		return r
 	}
-	fp := p.Fingerprint()
-	var k target.MemoKey
-	if m.cache != nil {
-		k = target.MemoKey{Config: m.fingerprint, Program: fp, Opts: opts}
-		if r, ok := m.cache.Lookup(k); ok {
-			return r
+	cp := m.progs.LoadOrStore(fp, func() *compiledProgram {
+		if c != nil {
+			return m.compile(c)
 		}
-	}
-	var r Result
-	if m.progs != nil {
-		cp := m.progs.LoadOrStore(fp, func() *compiledProgram {
-			return m.compile(prog.MustCompile(p))
-		})
-		r = m.runCompiled(cp, opts)
-	} else {
-		r = m.simulate(p, opts)
-	}
-	if m.cache != nil {
-		m.cache.Store(k, r)
-	}
+		return m.compile(prog.MustCompile(p))
+	})
+	r := m.runCompiled(cp, opts)
+	m.cache.Store(k, r)
 	return r
 }
 
-// simulate evaluates the machine model by interpreting the trace,
-// consulting neither the memo nor the compiled-trace cache: the
-// differential oracle the compiled path is checked against.
-func (m *Machine) simulate(p prog.Program, opts RunOpts) Result {
+// Interpret evaluates the machine model by walking the source trace op
+// by op, consulting neither the memo nor the compiled-trace cache. It
+// is the differential oracle the compiled route is checked against:
+// production code never calls it.
+func (m *Machine) Interpret(p prog.Program, opts RunOpts) Result {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}

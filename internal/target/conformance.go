@@ -11,8 +11,11 @@ import (
 // Conformance pins the contract every Target implementation must keep:
 //
 //   - determinism: two identical Run calls produce identical Results;
+//   - one route: RunCompiled on the flattened trace equals Run on the
+//     source program, memo-warm on the target and memo-cold on a clone;
 //   - clone transparency: a Clone carries the same name, fingerprint,
-//     scalar profile and spec, and its runs are result-identical;
+//     scalar profile and spec, starts with a cold timing memo (zero
+//     CacheStats hits and misses), and its runs are result-identical;
 //   - sane accounting: times are finite and non-negative, flop/word
 //     totals are non-negative and match the trace's own counts;
 //   - a sane spec: positive CPU count, clock and peak rate.
@@ -57,9 +60,15 @@ func Conformance(t testing.TB, tgt Target) {
 		t.Errorf("%s: Fingerprint() not stable across calls", tgt.Name())
 	}
 
+	// Warm the original first, so a Clone sharing its memo shows up as
+	// nonzero counters.
+	tgt.Run(probePrograms()[0], RunOpts{})
 	cl := tgt.Clone()
 	if cl == nil {
 		t.Fatalf("%s: Clone() returned nil", tgt.Name())
+	}
+	if st := cl.CacheStats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("%s: fresh Clone().CacheStats() = %+v, want zero hits and misses", tgt.Name(), st)
 	}
 	if cl.Name() != tgt.Name() {
 		t.Errorf("%s: Clone().Name() = %q", tgt.Name(), cl.Name())
@@ -76,6 +85,7 @@ func Conformance(t testing.TB, tgt Target) {
 	}
 
 	for _, p := range probePrograms() {
+		c := prog.MustCompile(p)
 		for _, opts := range probeOpts(spec.CPUs) {
 			r1 := tgt.Run(p, opts)
 			r2 := tgt.Run(p, opts)
@@ -83,8 +93,16 @@ func Conformance(t testing.TB, tgt Target) {
 				t.Errorf("%s: %s %+v: Run not deterministic:\n  %+v\n  %+v",
 					tgt.Name(), p.Name, opts, r1, r2)
 			}
-			rc := cl.Run(p.Clone(), opts)
-			if !reflect.DeepEqual(r1, rc) {
+			if rc := tgt.RunCompiled(c, opts); !reflect.DeepEqual(r1, rc) {
+				t.Errorf("%s: %s %+v: RunCompiled differs from Run:\n  Run         %+v\n  RunCompiled %+v",
+					tgt.Name(), p.Name, opts, r1, rc)
+			}
+			// The clone takes the compiled entry first, memo-cold.
+			if rc := cl.RunCompiled(c, opts); !reflect.DeepEqual(r1, rc) {
+				t.Errorf("%s: %s %+v: Clone RunCompiled differs:\n  orig  %+v\n  clone %+v",
+					tgt.Name(), p.Name, opts, r1, rc)
+			}
+			if rc := cl.Run(p.Clone(), opts); !reflect.DeepEqual(r1, rc) {
 				t.Errorf("%s: %s %+v: Clone run differs:\n  orig  %+v\n  clone %+v",
 					tgt.Name(), p.Name, opts, r1, rc)
 			}

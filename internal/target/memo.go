@@ -16,15 +16,13 @@ import (
 // applied by core.Noise *outside* the simulation, so caching does not
 // change any reported number. The key carries the target's config
 // fingerprint, so warm-cache results stay byte-identical across
-// backends and reconfigurations.
+// backends. A machine's configuration is fixed at construction, so
+// every entry a memo holds stays valid for the memo's lifetime.
 //
 // The memo is sharded: keys hash onto a power-of-two array of
 // independently locked maps, so memo-cold sweeps running under the
 // parallel experiment engine contend per shard, not on one global
-// mutex. Invalidation is generation-stamped: DropStale bumps a
-// generation counter in O(1) instead of sweeping the whole map under a
-// write lock, and superseded entries are reclaimed lazily, one shard
-// at a time, on the next write to each shard.
+// mutex.
 
 // MemoKey identifies one memoizable evaluation.
 type MemoKey struct {
@@ -57,10 +55,7 @@ func (k MemoKey) hash() uint64 {
 // CacheStats reports timing-memo effectiveness counters.
 type CacheStats struct {
 	Hits, Misses uint64
-	// Entries is the number of live memoized results currently held.
-	// Every live entry is keyed on the machine's current config
-	// fingerprint: reconfiguration invalidates entries keyed on a
-	// stale one.
+	// Entries is the number of memoized results currently held.
 	Entries int
 	// Shards is the number of independently locked segments the memo
 	// spreads its entries over; MaxShardEntries is the occupancy of
@@ -68,11 +63,6 @@ type CacheStats struct {
 	// stays near Entries/Shards).
 	Shards          int
 	MaxShardEntries int
-	// Generation counts DropStale invalidations over the memo's
-	// lifetime; GenerationDrops is the number of superseded entries
-	// reclaimed by the lazy per-shard sweeps so far.
-	Generation      uint64
-	GenerationDrops uint64
 }
 
 // HitRate returns the fraction of lookups served from the cache.
@@ -88,21 +78,10 @@ func (s CacheStats) String() string {
 		s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
 }
 
-// memoEntry is one stored result, stamped with the generation it was
-// stored under.
-type memoEntry struct {
-	gen uint64
-	res Result
-}
-
-// memoShard is one independently locked segment of the memo. swept
-// records the generation the shard was last reconciled to; a shard
-// whose swept lags the memo's generation may still hold superseded
-// entries, which the next Store reclaims.
+// memoShard is one independently locked segment of the memo.
 type memoShard struct {
-	mu    sync.RWMutex
-	m     map[MemoKey]memoEntry
-	swept uint64
+	mu sync.RWMutex
+	m  map[MemoKey]Result
 }
 
 // Memo is a concurrency-safe memo of simulated results, shared by the
@@ -110,15 +89,7 @@ type memoShard struct {
 type Memo struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	// gen is the current generation; keep is the config fingerprint
-	// that survived the most recent DropStale. An entry is live when
-	// it was stored in the current generation or its key carries the
-	// surviving fingerprint — staler entries are invisible to Lookup
-	// and reclaimed lazily.
-	gen   atomic.Uint64
-	keep  atomic.Uint64
-	drops atomic.Uint64
-	shard [memoShards]memoShard
+	shard  [memoShards]memoShard
 }
 
 // NewMemo returns an empty memo.
@@ -126,79 +97,43 @@ func NewMemo() *Memo {
 	return &Memo{}
 }
 
-// live reports whether an entry stored under gen with key k is
-// servable at the current generation. Serving any stored entry is
-// always *correct* — the key covers everything a simulation depends
-// on — so liveness only governs reclamation and the Entries count.
-func (c *Memo) live(k MemoKey, gen uint64) bool {
-	return gen == c.gen.Load() || k.Config == c.keep.Load()
-}
-
 // Lookup returns the memoized result for k, counting a hit or miss.
 // The returned Result is a deep copy; callers may alias it freely.
 func (c *Memo) Lookup(k MemoKey) (Result, bool) {
 	s := &c.shard[k.hash()&(memoShards-1)]
 	s.mu.RLock()
-	e, ok := s.m[k]
+	r, ok := s.m[k]
 	s.mu.RUnlock()
-	if ok && c.live(k, e.gen) {
+	if ok {
 		c.hits.Add(1)
-		return e.res.Clone(), true
+		return r.Clone(), true
 	}
 	c.misses.Add(1)
 	return Result{}, false
 }
 
-// Store memoizes a result under k (deep-copied on the way in). If the
-// shard has not caught up with a generation bump, its superseded
-// entries are reclaimed first, so stale results never accumulate
-// beyond one write per shard.
+// Store memoizes a result under k (deep-copied on the way in).
 func (c *Memo) Store(k MemoKey, r Result) {
 	s := &c.shard[k.hash()&(memoShards-1)]
-	gen := c.gen.Load()
 	s.mu.Lock()
 	if s.m == nil {
-		s.m = make(map[MemoKey]memoEntry)
+		s.m = make(map[MemoKey]Result)
 	}
-	if s.swept != gen {
-		c.sweepLocked(s, gen)
-	}
-	s.m[k] = memoEntry{gen: gen, res: r.Clone()}
+	s.m[k] = r.Clone()
 	s.mu.Unlock()
 }
 
-// sweepLocked reclaims the shard's dead entries and marks it
-// reconciled to gen. Callers hold the shard's write lock.
-func (c *Memo) sweepLocked(s *memoShard, gen uint64) {
-	keep := c.keep.Load()
-	for k, e := range s.m {
-		if e.gen != gen && k.Config != keep {
-			delete(s.m, k)
-			c.drops.Add(1)
-		}
-	}
-	s.swept = gen
-}
-
-// Stats returns the memo's counters, including shard occupancy and
-// generation-drop totals. Entries counts live entries only.
+// Stats returns the memo's counters, including shard occupancy.
 func (c *Memo) Stats() CacheStats {
 	st := CacheStats{
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
-		Shards:          memoShards,
-		Generation:      c.gen.Load(),
-		GenerationDrops: c.drops.Load(),
+		Hits:   c.hits.Load(),
+		Misses: c.misses.Load(),
+		Shards: memoShards,
 	}
 	for i := range c.shard {
 		s := &c.shard[i]
 		s.mu.RLock()
-		n := 0
-		for k, e := range s.m {
-			if c.live(k, e.gen) {
-				n++
-			}
-		}
+		n := len(s.m)
 		s.mu.RUnlock()
 		st.Entries += n
 		if n > st.MaxShardEntries {
@@ -206,19 +141,4 @@ func (c *Memo) Stats() CacheStats {
 		}
 	}
 	return st
-}
-
-// DropStale invalidates every memoized entry whose key carries a
-// config fingerprint other than current. Such entries can never be
-// looked up again (the current fingerprint is part of every future
-// key), so after a reconfiguration they are pure dead weight — and,
-// worse, a coherence hazard should the fingerprint field ever go stale
-// alongside them. The invalidation is O(1): the generation counter is
-// bumped and entries keyed on current are kept live, while superseded
-// entries become invisible immediately and are reclaimed shard by
-// shard on subsequent writes. Concurrent readers are never stalled
-// behind a full-map sweep.
-func (c *Memo) DropStale(current uint64) {
-	c.keep.Store(current)
-	c.gen.Add(1)
 }

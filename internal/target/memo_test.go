@@ -38,68 +38,8 @@ func TestMemoShardSpread(t *testing.T) {
 	}
 }
 
-// TestMemoGenerationInvalidation: DropStale must hide superseded
-// entries immediately (without touching the maps), keep current-config
-// entries servable, and reclaim dead entries lazily as shards are
-// written to.
-func TestMemoGenerationInvalidation(t *testing.T) {
-	m := NewMemo()
-	const perConfig = 256
-	for i := 0; i < perConfig; i++ {
-		m.Store(MemoKey{Config: 1, Program: uint64(i)}, Result{Clocks: 1})
-		m.Store(MemoKey{Config: 2, Program: uint64(i)}, Result{Clocks: 2})
-	}
-	m.DropStale(2)
-
-	st := m.Stats()
-	if st.Generation != 1 {
-		t.Errorf("Generation = %d, want 1", st.Generation)
-	}
-	if st.Entries != perConfig {
-		t.Errorf("after DropStale: Entries = %d, want %d", st.Entries, perConfig)
-	}
-	if _, ok := m.Lookup(MemoKey{Config: 2, Program: 0}); !ok {
-		t.Error("DropStale hid a current-config entry")
-	}
-
-	// Fresh writes trigger the lazy per-shard sweeps: dead config-1
-	// entries are reclaimed from every shard that takes a write, and
-	// never more than the dead population exists.
-	for i := 0; i < 8*perConfig; i++ {
-		m.Store(MemoKey{Config: 2, Program: uint64(perConfig + i)}, Result{Clocks: 2})
-	}
-	st = m.Stats()
-	if st.GenerationDrops == 0 || st.GenerationDrops > perConfig {
-		t.Errorf("GenerationDrops = %d, want in (0, %d]", st.GenerationDrops, perConfig)
-	}
-}
-
-// TestMemoDropStaleRepeated: repeated reconfiguration bumps, each
-// keeping a different fingerprint, must leave exactly the last
-// configuration's entries live.
-func TestMemoDropStaleRepeated(t *testing.T) {
-	m := NewMemo()
-	for cfg := uint64(1); cfg <= 4; cfg++ {
-		for i := 0; i < 8; i++ {
-			m.Store(MemoKey{Config: cfg, Program: uint64(i)}, Result{})
-		}
-		m.DropStale(cfg)
-	}
-	st := m.Stats()
-	if st.Entries != 8 {
-		t.Errorf("Entries = %d, want 8", st.Entries)
-	}
-	if st.Generation != 4 {
-		t.Errorf("Generation = %d, want 4", st.Generation)
-	}
-	if _, ok := m.Lookup(MemoKey{Config: 4, Program: 0}); !ok {
-		t.Error("last configuration's entry not live")
-	}
-}
-
-// TestMemoConcurrent: concurrent stores, lookups and generation bumps
-// must be race-free (run under -race) and never corrupt the hit/miss
-// accounting.
+// TestMemoConcurrent: concurrent stores and lookups must be race-free
+// (run under -race) and never corrupt the hit/miss accounting.
 func TestMemoConcurrent(t *testing.T) {
 	m := NewMemo()
 	var wg sync.WaitGroup
@@ -116,9 +56,6 @@ func TestMemoConcurrent(t *testing.T) {
 					continue
 				}
 				m.Store(k, Result{Clocks: float64(k.Program)})
-				if i%100 == 0 {
-					m.DropStale(k.Config)
-				}
 			}
 		}(g)
 	}

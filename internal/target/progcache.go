@@ -129,8 +129,7 @@ func (c *FPCache[V]) Range(f func(fp uint64, v V) bool) {
 }
 
 // Stats returns the cache's counters. A LoadOrStore that found the
-// value counts as the one hit its inner Load recorded; lifetime
-// counters survive Clear (the entries they describe do not).
+// value counts as the one hit its inner Load recorded.
 func (c *FPCache[V]) Stats() FPCacheStats {
 	return FPCacheStats{
 		Hits:    c.hits.Load(),
@@ -149,15 +148,4 @@ func (c *FPCache[V]) Len() int {
 		s.mu.RUnlock()
 	}
 	return n
-}
-
-// Clear drops every cached value (the reconfiguration path: compiled
-// timings are configuration-dependent and must not survive SetConfig).
-func (c *FPCache[V]) Clear() {
-	for i := range c.shard {
-		s := &c.shard[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
 }

@@ -146,6 +146,13 @@ type Target interface {
 	Name() string
 	// Run simulates the program.
 	Run(p prog.Program, opts RunOpts) Result
+	// RunCompiled is Run for a pre-flattened trace: it reads the
+	// fingerprint the compiler stamped on c instead of re-hashing the
+	// program, so a driver that compiles each distinct trace once pays
+	// the per-op walk once too. Results are bit-identical to Run on
+	// the source program (Conformance pins this); the two entry points
+	// share one timing memo.
+	RunCompiled(c *prog.Compiled, opts RunOpts) Result
 	// Scalar returns the machine's scalar-path description (the HINT
 	// profile).
 	Scalar() ScalarProfile
@@ -155,36 +162,11 @@ type Target interface {
 	// timing-memo key component, so memoized results can never be
 	// served across configurations (or backends).
 	Fingerprint() uint64
+	// CacheStats returns the target's timing-memo counters; the CLIs'
+	// -cachestats output and the daemon's /v1/stats read them.
+	CacheStats() CacheStats
 	// Clone returns a fresh target with the same configuration and a
 	// cold timing memo. Clones must be run-for-run identical to the
 	// original (Conformance pins this).
 	Clone() Target
-}
-
-// CacheStatser is the optional interface of targets that expose their
-// timing-memo counters (shard occupancy, generation drops); the CLIs'
-// -cachestats output uses it.
-type CacheStatser interface {
-	CacheStats() CacheStats
-}
-
-// CompiledRunner is the optional interface of targets that execute
-// pre-flattened traces directly. A memo-cold Run spends most of its
-// time re-hashing the trace structure for the cache key; RunCompiled
-// reads the fingerprint the compiler stamped on the IR instead, so a
-// sweep that compiles each distinct trace once pays the per-op walk
-// once too. Results must be bit-identical to Run on the source
-// program — the two entry points share one timing memo.
-type CompiledRunner interface {
-	RunCompiled(c *prog.Compiled, opts RunOpts) Result
-}
-
-// CompiledSwitcher is the optional interface of targets whose
-// compiled-trace execution path can be toggled. Disabling routes runs
-// through the interpreted engine; reported numbers are bit-identical
-// either way (the differential tests pin this), so the switch is
-// purely an ablation knob — the cold-sweep baseline benchmark uses it
-// to measure what compilation buys.
-type CompiledSwitcher interface {
-	SetCompiled(enabled bool)
 }

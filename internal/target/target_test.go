@@ -15,18 +15,22 @@ type stub struct {
 
 func (s *stub) Name() string { return s.name }
 func (s *stub) Run(p prog.Program, opts RunOpts) Result {
+	return s.RunCompiled(prog.MustCompile(p), opts)
+}
+func (s *stub) RunCompiled(c *prog.Compiled, opts RunOpts) Result {
 	procs := opts.Procs
 	if procs <= 0 {
 		procs = 1
 	}
-	clocks := float64(p.Flops()+p.Words()) / float64(procs)
+	clocks := float64(c.Flops+c.Words) / float64(procs)
 	return Result{
-		Program: p.Name, Procs: procs,
+		Program: c.Name, Procs: procs,
 		Clocks: clocks, Seconds: clocks * 1e-9,
-		Flops: p.Flops(), Words: p.Words(),
+		Flops: c.Flops, Words: c.Words,
 	}
 }
-func (s *stub) Scalar() ScalarProfile { return ScalarProfile{ClockNS: 1, IssuePerClock: 1} }
+func (s *stub) CacheStats() CacheStats { return CacheStats{} }
+func (s *stub) Scalar() ScalarProfile  { return ScalarProfile{ClockNS: 1, IssuePerClock: 1} }
 func (s *stub) Spec() Spec {
 	return Spec{CPUs: 4, Nodes: 1, ClockNS: 1, PeakMFLOPSPerCPU: 1000}
 }
@@ -216,20 +220,6 @@ func TestMemoKeyDistinguishesConfig(t *testing.T) {
 	}
 	if _, ok := m.Lookup(MemoKey{Config: 1, Program: 42, Opts: RunOpts{Procs: 2}}); ok {
 		t.Error("memo served a result across RunOpts")
-	}
-}
-
-func TestMemoDropStale(t *testing.T) {
-	m := NewMemo()
-	m.Store(MemoKey{Config: 1, Program: 1}, Result{})
-	m.Store(MemoKey{Config: 1, Program: 2}, Result{})
-	m.Store(MemoKey{Config: 2, Program: 1}, Result{})
-	m.DropStale(2)
-	if n := m.Stats().Entries; n != 1 {
-		t.Errorf("after DropStale: %d entries, want 1", n)
-	}
-	if _, ok := m.Lookup(MemoKey{Config: 2, Program: 1}); !ok {
-		t.Error("DropStale removed a current-config entry")
 	}
 }
 

@@ -1,14 +1,13 @@
 // The cold-sweep scaling benchmark: a memo-cold 10 000-scenario sweep
 // across every registered machine, the workload the compiled-trace
-// path and the sharded timing memo exist for. Sub-benchmarks sweep the
-// worker count (1/4/8) and include the interpreted-engine ablation at
-// 8 workers (SetCompiled(false) via target.CompiledSwitcher), so
-// `make bench-sweep` pins both the scaling curve and what compilation
-// buys in BENCH_SWEEP.json. Every variant cross-checks the sweep
-// checksum: parallelism and compilation must not change a single bit.
+// route and the sharded timing memo exist for. Sub-benchmarks sweep
+// the worker count (1/4/8), so `make bench-sweep` pins the scaling
+// curve in BENCH_SWEEP.json. Every variant cross-checks the sweep
+// checksum: parallelism must not change a single bit.
 package sx4bench_test
 
 import (
+	"fmt"
 	"testing"
 
 	"sx4bench/internal/ncar"
@@ -21,21 +20,11 @@ func BenchmarkColdSweep10k(b *testing.B) {
 	}
 	scenarios := ncar.SweepScenarios(n)
 	var want ncar.SweepResult
-	variants := []struct {
-		name     string
-		workers  int
-		compiled bool
-	}{
-		{"workers=1", 1, true},
-		{"workers=4", 4, true},
-		{"workers=8", 8, true},
-		{"uncompiled/workers=8", 8, false},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+	for _, workers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				got, err := ncar.Sweep(scenarios, v.workers, v.compiled)
+				got, err := ncar.Sweep(scenarios, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
