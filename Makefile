@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-facts test test-short race race-full bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
+.PHONY: all build vet fmt-check lint lint-facts test test-short race race-full perfbench-check bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
 
 all: build vet lint test
 
@@ -49,19 +49,26 @@ race:
 race-full:
 	$(GO) test -race ./...
 
+# perfbench is a nested module (the repository benchmark), so the root
+# ./... patterns never build it; vet and test it on its own, since it
+# names target, serve, ncar and fleet APIs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # What CI runs (see .github/workflows/ci.yml): the gofmt gate, vet
 # (plus staticcheck and govulncheck when installed — CI installs them,
 # local runs skip them gracefully), sx4lint, build, the full test suite under the race
-# detector, the golden-artifact check, the cross-machine smoke sweep,
-# the resilience smoke, the fleet capacity smoke (golden-pinned
-# capacity artifact plus a live -fleet run), the cold-sweep and
-# capacity scaling smokes (1k memo-cold scenarios each, worker-count
-# checksums cross-checked), the sx4d daemon smoke (live /healthz and
-# golden-pinned /v1/run over real HTTP), the seeded chaos soak, and
-# the cache warm-restart smoke (SIGTERM → snapshot → reboot → hit).
+# detector, the benchmark module's vet and tests, the golden-artifact
+# check, the cross-machine smoke sweep, the resilience smoke, the fleet
+# capacity smoke (golden-pinned capacity artifact plus a live -fleet
+# run), the cold-sweep and capacity scaling smokes (1k cold scenarios
+# each, worker-count checksums cross-checked), the sx4d daemon smoke
+# (live /healthz and golden-pinned /v1/run over real HTTP), the seeded
+# chaos soak, and the cache warm-restart smoke (SIGTERM → snapshot →
+# reboot → hit).
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -72,6 +79,7 @@ ci:
 	$(MAKE) lint
 	$(GO) build ./...
 	$(MAKE) race-full
+	$(MAKE) perfbench-check
 	$(GO) run ./cmd/goldens
 	$(GO) run ./cmd/ncarbench -machine all -short
 	$(MAKE) faults
@@ -165,9 +173,10 @@ cover:
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_BASELINE.json
 
-# Record the cold-sweep scaling baseline — the memo-cold 10k-scenario
-# sweep across the machine registry at 1/4/8 workers, every scenario
-# through the one compiled route — as BENCH_SWEEP.json.
+# Record the cold-sweep scaling baseline — the 10k-scenario sweep of
+# distinct (machine, trace, allocation) triples across the machine
+# registry at 1/4/8 workers, on fresh machines, every scenario through
+# the one compiled route — as BENCH_SWEEP.json.
 # bench-sweep-short is the CI smoke: 1k scenarios, one iteration,
 # checksum cross-checked between every worker count.
 bench-sweep:
@@ -176,7 +185,7 @@ bench-sweep:
 bench-sweep-short:
 	$(GO) test -run '^$$' -bench '^BenchmarkColdSweep10k$$' -short -benchtime 1x .
 
-# Record the fleet capacity scaling baseline — the memo-cold
+# Record the fleet capacity scaling baseline — the scenario-memo-cold
 # 10k-scenario Monte Carlo over the canonical fleet at 1/4/8 workers,
 # with the 1-vs-8-worker ratio pinned as capacity_parallel_speedup —
 # as BENCH_CAPACITY.json. bench-capacity-short is the CI smoke: 1k

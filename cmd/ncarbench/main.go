@@ -53,8 +53,8 @@ type options struct {
 	deadline float64
 	// retries caps the attempts per benchmark; 0 means the default.
 	retries int
-	// cachestats prints each machine's timing-memo counters — shard
-	// occupancy included — after its results.
+	// cachestats prints each machine's compiled-trace cache counters
+	// after its results.
 	cachestats bool
 
 	// fleet, when non-empty, switches to capacity-planning mode: a
@@ -75,7 +75,7 @@ func main() {
 	flag.StringVar(&o.faults, "faults", "", "fault schedule: a seed for a generated plan, or a schedule-file path ('<at> <kind> <unit>' lines)")
 	flag.Float64Var(&o.deadline, "deadline", 0, "simulated-seconds deadline per benchmark under -faults (0 = none)")
 	flag.IntVar(&o.retries, "retries", 0, "max attempts per benchmark under -faults (0 = default)")
-	flag.BoolVar(&o.cachestats, "cachestats", false, "print each machine's timing-memo counters (hits, misses, shard occupancy) after its results")
+	flag.BoolVar(&o.cachestats, "cachestats", false, "print each machine's compiled-trace cache counters (hits, misses, entries) after its results")
 	flag.StringVar(&o.fleet, "fleet", "", "fleet spec for capacity planning, e.g. 'sx4-32x2,c90' (registry names with optional xN replication)")
 	flag.IntVar(&o.scenarios, "scenarios", 0, "Monte Carlo scenario count for -fleet (0 = the canonical 100)")
 	flag.Int64Var(&o.fleetseed, "fleetseed", 0, "fleet seed every -fleet scenario derives from (0 = the canonical 1996)")
@@ -168,8 +168,8 @@ func runCapacity(w io.Writer, o options) error {
 	return core.WriteTable(w, tab)
 }
 
-// printCacheStats reports a machine's timing-memo counters when asked.
-// A machine whose memo saw no lookups is skipped silently.
+// printCacheStats reports a machine's compiled-trace cache counters
+// when asked. A machine whose cache saw no lookups is skipped silently.
 func printCacheStats(w io.Writer, tgt sx4bench.Target, enabled bool) error {
 	if !enabled {
 		return nil
@@ -178,8 +178,7 @@ func printCacheStats(w io.Writer, tgt sx4bench.Target, enabled bool) error {
 	if st.Hits+st.Misses == 0 && st.Entries == 0 {
 		return nil
 	}
-	_, err := fmt.Fprintf(w, "cachestats %s: %s; %d shards (deepest holds %d)\n",
-		tgt.Name(), st, st.Shards, st.MaxShardEntries)
+	_, err := fmt.Fprintf(w, "cachestats %s: %s\n", tgt.Name(), st)
 	return err
 }
 

@@ -135,13 +135,13 @@ func TestRunMainCacheStats(t *testing.T) {
 	if !strings.Contains(out, "cachestats SX-4/1:") {
 		t.Fatalf("-cachestats output missing the counter line:\n%s", out)
 	}
-	for _, want := range []string{" hits, ", " misses (", "shards (deepest holds"} {
+	for _, want := range []string{" hits, ", " misses (", " entries\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cachestats line missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "generation") {
-		t.Errorf("cachestats line still reports memo generations:\n%s", out)
+	if strings.Contains(out, "shards") {
+		t.Errorf("cachestats line still reports memo shard occupancy:\n%s", out)
 	}
 
 	// Off by default: the same run without the flag prints no counters.

@@ -8,8 +8,8 @@
 // critical context is a diagnostic: the root sx4bench package, the
 // core/ncar/check render-and-verify packages, and any Fingerprint
 // method anywhere in the module, because those are the paths whose
-// outputs the 21 byte-identical goldens (and the memo, fleet and
-// sx4d caches keyed on fingerprints) pin down.
+// outputs the 21 byte-identical goldens (and the compiled-trace, fleet
+// and sx4d caches keyed on fingerprints) pin down.
 //
 // A waiver comment
 //
@@ -355,9 +355,9 @@ func intrinsic(callee *types.Func) (string, bool) {
 
 // critical reports whether fn's results must be deterministic: the
 // root package, the render-and-verify subtrees, or any fingerprint
-// method anywhere (fingerprints key the memo, FPCache and sx4d
-// response cache, so a wobbling fingerprint silently forks cache
-// entries).
+// method anywhere (fingerprints key every FPCache and TraceCache, the
+// sx4d response cache among them, so a wobbling fingerprint silently
+// forks cache entries).
 func critical(pkgPath string, fn *types.Func) bool {
 	if strings.EqualFold(fn.Name(), "fingerprint") {
 		return true

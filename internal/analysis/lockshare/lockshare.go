@@ -1,11 +1,10 @@
 // Package lockshare checks the shared-state discipline of the
 // concurrent serving stack: internal/serve (daemon, response cache,
 // single-flight), internal/fleet (multi-node Monte Carlo) and
-// internal/target (the sharded memo and fingerprint caches). Those
-// packages run real goroutines against shared structs, where the
-// 64-shard memo generation stamps and the content-addressed response
-// cache are only sound if every shared write happens under the guard
-// that readers take.
+// internal/target (the sharded fingerprint caches). Those packages run
+// real goroutines against shared structs, where the cache shards and
+// the content-addressed response cache are only sound if every shared
+// write happens under the guard that readers take.
 //
 // Four rules, all lexical and per-function (a lint, not a prover —
 // borderline cases carry //sx4lint:ignore lockshare <reason>):

@@ -14,12 +14,12 @@ import (
 
 // The compiled-trace differential suite: the interpreted engine
 // (Interpret, which production code never calls) is the oracle, and
-// every property below pins the one production route — memo lookup,
-// Compile and the flat walk, memo store — to be bit-identical to it,
+// every property below pins the one production route — the per-machine
+// compiled-trace cache and the flat walk — to be bit-identical to it,
 // over the same randomized (config, program, opts) cases the
 // metamorphic suite uses.
 
-// TestQuickCompiledBitIdentical: on a memo-cold machine, Run (the
+// TestQuickCompiledBitIdentical: on a cache-cold machine, Run (the
 // compiled route) and Interpret must agree bit for bit on randomized
 // traces — Clocks, Seconds, Flops, Words, and every phase record.
 func TestQuickCompiledBitIdentical(t *testing.T) {
@@ -36,8 +36,9 @@ func TestQuickCompiledBitIdentical(t *testing.T) {
 
 // TestQuickRunCompiledMatchesRun: the RunCompiled entry point (a
 // pre-flattened trace with its stamped fingerprint) must agree with
-// Run on the source program, on the same machine, memo enabled — the
-// two entry points share one memo, so any divergence would poison it.
+// Run on the source program, on the same machine — the two entry
+// points share one compiled-trace cache, so any divergence would
+// poison it.
 func TestQuickRunCompiledMatchesRun(t *testing.T) {
 	for i, data := range randCases(80) {
 		cfg, p, opts := DecodeCase(data)
@@ -51,11 +52,11 @@ func TestQuickRunCompiledMatchesRun(t *testing.T) {
 		if !reflect.DeepEqual(viaRun, viaCompiled) {
 			t.Errorf("case %d: RunCompiled differs from Run: %+v vs %+v", i, viaRun, viaCompiled)
 		}
-		// And memo-cold in the opposite order on a fresh machine.
+		// And cache-cold in the opposite order on a fresh machine.
 		m2 := sx4.New(cfg)
 		viaCompiled2 := m2.RunCompiled(c, opts)
 		if !reflect.DeepEqual(viaRun, viaCompiled2) {
-			t.Errorf("case %d: memo-cold RunCompiled differs from Run: %+v vs %+v",
+			t.Errorf("case %d: cache-cold RunCompiled differs from Run: %+v vs %+v",
 				i, viaRun, viaCompiled2)
 		}
 	}
@@ -91,8 +92,8 @@ func TestQuickWorkstationCompiledBitIdentical(t *testing.T) {
 
 // TestCompiledConcurrentReuse: many goroutines hammer one machine with
 // a mix of Run and RunCompiled over a small program set, so the
-// compiled-trace cache's first-store-wins path, the sharded memo and
-// the shared *compiledProgram values all see real concurrent reuse.
+// compiled-trace cache's first-store-wins path and the shared
+// *compiledProgram values all see real concurrent reuse.
 // Every goroutine must observe results identical to a serial oracle;
 // `go test -race ./internal/check` (CI's race-full) makes this a
 // data-race proof, not just an equality check.

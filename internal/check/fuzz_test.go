@@ -63,8 +63,9 @@ func FuzzMachineRun(f *testing.F) {
 		}
 		m := sx4.New(cfg)
 		cold := m.Run(p, opts)
-		// A clone has the same fingerprint, so it must hit the memo and
-		// return the identical result; the interpreter must agree.
+		// A clone has the same fingerprint, so it must hit the
+		// compiled-trace cache and return the identical result; the
+		// interpreter must agree.
 		viaClone := m.Run(p.Clone(), opts)
 		direct := m.Interpret(p, opts)
 		if !reflect.DeepEqual(cold, viaClone) {

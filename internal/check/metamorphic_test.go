@@ -45,9 +45,9 @@ func TestMetamorphicClockInverse(t *testing.T) {
 	}
 }
 
-// TestMetamorphicCacheTransparent: a cold memoized run, a warm run,
-// and the interpreted oracle must agree exactly — the memo may never
-// change results, only skip work.
+// TestMetamorphicCacheTransparent: a cold cached run, a warm run, and
+// the interpreted oracle must agree exactly — the compiled-trace cache
+// may never change results, only skip work.
 func TestMetamorphicCacheTransparent(t *testing.T) {
 	for i, data := range randCases(40) {
 		cfg, p, opts := DecodeCase(data)

@@ -238,9 +238,9 @@ func Run(t target.Target, p prog.Program, opts target.RunOpts, ktries int, noise
 	return measure(t.Run(p, opts), ktries, noise, payloadBytes)
 }
 
-// RunCompiled is Run for a pre-compiled trace: sweep drivers that
-// revisit the same trace shape across points, machines or KTRIES
-// draws cache the compiled form once and skip rebuilding and
+// RunCompiled is Run for a pre-compiled trace: drivers that revisit
+// the same trace shape across sweep points, machines or report
+// sections cache the compiled form once and skip rebuilding and
 // re-hashing the program on every measurement. The reported numbers
 // are bit-identical to Run on the source program.
 func RunCompiled(t target.Target, c *prog.Compiled, opts target.RunOpts, ktries int, noise *Noise, payloadBytes int64) Measurement {

@@ -231,7 +231,7 @@ type Engine struct {
 }
 
 // Stats exposes the scenario-memo counters (the /v1/stats surface).
-func (e *Engine) Stats() target.FPCacheStats { return e.memo.Stats() }
+func (e *Engine) Stats() target.CacheStats { return e.memo.Stats() }
 
 // MonteCarlo runs cfg.Scenarios scenarios across the worker pool (the
 // repo convention: 0 = GOMAXPROCS, 1 = serial) and aggregates. Results

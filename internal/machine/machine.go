@@ -44,8 +44,8 @@ var _ target.Target = (*Vector)(nil)
 func (v *Vector) Scalar() ScalarProfile { return v.scalar }
 
 // Clone returns a fresh machine with the same configuration, scalar
-// profile, and a cold timing memo. (The promoted sx4.Machine Clone
-// would drop the Cray scalar profile.)
+// profile, and a cold compiled-trace cache. (The promoted sx4.Machine
+// Clone would drop the Cray scalar profile.)
 func (v *Vector) Clone() target.Target {
 	return &Vector{Machine: sx4.New(v.Machine.Config()), scalar: v.scalar}
 }
@@ -150,12 +150,9 @@ type WorkstationParams struct {
 // NewWorkstation; its parameters are fixed from then on.
 type Workstation struct {
 	params WorkstationParams
-	// memo holds memoized trace timings keyed on the model's
-	// fingerprint.
-	memo *target.Memo
 	// progs caches compiled per-phase timings keyed by program
 	// fingerprint — the workstation model ignores RunOpts entirely, so
-	// a compiled trace answers every memo-cold Run with a flat copy.
+	// a compiled trace answers every Run with a flat copy.
 	progs *target.FPCache[*wsTiming]
 	// fp is the configuration fingerprint, stamped by NewWorkstation.
 	fp uint64
@@ -163,12 +160,11 @@ type Workstation struct {
 
 var _ target.Target = (*Workstation)(nil)
 
-// NewWorkstation returns a workstation with the given parameters, a
-// cold timing memo and a cold compiled-trace cache.
+// NewWorkstation returns a workstation with the given parameters and a
+// cold compiled-trace cache.
 func NewWorkstation(p WorkstationParams) *Workstation {
 	return &Workstation{
 		params: p,
-		memo:   target.NewMemo(),
 		progs:  &target.FPCache[*wsTiming]{},
 		fp:     p.fingerprint(),
 	}
@@ -221,7 +217,7 @@ func (w *Workstation) Spec() target.Spec {
 // Fingerprint returns the configuration fingerprint.
 func (w *Workstation) Fingerprint() uint64 { return w.fp }
 
-// fingerprint hashes the model parameters, so memoized timings can
+// fingerprint hashes the model parameters, so cached results can
 // never be served across model variants.
 func (p WorkstationParams) fingerprint() uint64 {
 	h := fnv.New64a()
@@ -232,43 +228,28 @@ func (p WorkstationParams) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Clone returns a fresh workstation with the same parameters, a cold
-// timing memo and a cold compiled-trace cache.
+// Clone returns a fresh workstation with the same parameters and a
+// cold compiled-trace cache.
 func (w *Workstation) Clone() target.Target { return NewWorkstation(w.params) }
 
-// CacheStats returns the workstation's timing-memo counters.
-func (w *Workstation) CacheStats() target.CacheStats { return w.memo.Stats() }
+// CacheStats returns the workstation's compiled-trace cache counters.
+func (w *Workstation) CacheStats() target.CacheStats { return w.progs.Stats() }
 
 // Run executes a trace on the workstation model. opts.Procs is ignored
-// (the Table 1 comparisons are single-processor).
+// (the Table 1 comparisons are single-processor), so the trace's
+// compiled timing, lowered into the compiled-trace cache on first use,
+// already holds the whole result.
 func (w *Workstation) Run(p prog.Program, opts sx4.RunOpts) sx4.Result {
-	return w.run(p.Fingerprint(), opts, p, nil)
+	return w.progs.LoadOrStore(p.Fingerprint(), func() *wsTiming {
+		return w.compile(prog.MustCompile(p))
+	}).result()
 }
 
 // RunCompiled is Run for a pre-flattened trace: c carries its
-// fingerprint, so the caches are keyed without re-hashing the program
+// fingerprint, so the cache is keyed without re-hashing the program
 // structure on every call.
 func (w *Workstation) RunCompiled(c *prog.Compiled, opts sx4.RunOpts) sx4.Result {
-	return w.run(c.Fingerprint, opts, prog.Program{}, c)
-}
-
-// run is the workstation's one execution route: a memo lookup; on a
-// miss, the trace's compiled timing, built on first use from c, or
-// from p when the caller holds no compiled form; then a memo store. fp
-// is the program fingerprint.
-func (w *Workstation) run(fp uint64, opts sx4.RunOpts, p prog.Program, c *prog.Compiled) sx4.Result {
-	k := target.MemoKey{Config: w.fp, Program: fp, Opts: opts}
-	if r, ok := w.memo.Lookup(k); ok {
-		return r
-	}
-	r := w.progs.LoadOrStore(fp, func() *wsTiming {
-		if c != nil {
-			return w.compile(c)
-		}
-		return w.compile(prog.MustCompile(p))
-	}).result()
-	w.memo.Store(k, r)
-	return r
+	return w.progs.LoadOrStore(c.Fingerprint, func() *wsTiming { return w.compile(c) }).result()
 }
 
 // wsTiming is a program compiled against the workstation model: the
@@ -322,9 +303,9 @@ func (w *Workstation) compile(c *prog.Compiled) *wsTiming {
 }
 
 // Interpret evaluates the model by walking the source trace op by op,
-// consulting neither the memo nor the compiled-trace cache. It is the
-// differential oracle the compiled route is checked against: production
-// code never calls it. opts.Procs is ignored, as in Run.
+// bypassing the compiled-trace cache. It is the differential oracle
+// the compiled route is checked against: production code never calls
+// it. opts.Procs is ignored, as in Run.
 func (w *Workstation) Interpret(p prog.Program, opts sx4.RunOpts) sx4.Result {
 	if err := p.Validate(); err != nil {
 		panic(err)

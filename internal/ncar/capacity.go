@@ -27,7 +27,7 @@ var capacityEngine fleet.Engine
 
 // CapacityEngineStats exposes the shared engine's memo counters (the
 // sx4d /v1/stats surface).
-func CapacityEngineStats() target.FPCacheStats { return capacityEngine.Stats() }
+func CapacityEngineStats() target.CacheStats { return capacityEngine.Stats() }
 
 // CapacityReport runs (or replays from the memo) a capacity Monte
 // Carlo: `scenarios` week-long draws over the fleet described by spec,

@@ -67,6 +67,24 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
+// TestWriteReportCacheProbe pins the report's compiled-trace cache
+// line: RADABS is one trace, so a fresh probe compiles it once on the
+// cold pass and reuses it on the warm one. The probe is a Clone, so
+// the line must not depend on how warm the reported machine already is.
+func TestWriteReportCacheProbe(t *testing.T) {
+	const want = "\nTiming cache (fresh probe, RADABS twice): cold pass 1 misses 0 hits; warm pass +1 hits +0 misses\n"
+	m := bench()
+	for pass := 1; pass <= 2; pass++ {
+		var buf bytes.Buffer
+		if err := WriteReport(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report pass %d: missing probe line %q", pass, strings.TrimSpace(want))
+		}
+	}
+}
+
 func TestProfileTable(t *testing.T) {
 	tab, err := ProfileTable(bench(), "T42L18", 32)
 	if err != nil {

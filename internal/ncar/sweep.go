@@ -16,12 +16,12 @@ import (
 )
 
 // The cold-sweep driver: the scaling workload behind the compiled-trace
-// and sharded-memo work. A sweep is a large set of (machine, trace,
+// work. A sweep is a large set of pairwise-distinct (machine, trace,
 // allocation) scenarios executed against fresh machine instances, so
-// every timing-memo lookup misses — the memo-cold regime where the
-// single-mutex memo used to serialize workers and where trace
-// compilation pays (each distinct trace is flattened once and its
-// timing invariants reused across every processor allocation).
+// no result is ever computed twice, and trace compilation is what pays:
+// each machine lowers each distinct trace once into its compiled-trace
+// cache and reuses the timing invariants across every processor
+// allocation.
 
 // SweepScenario is one cold-sweep unit: a benchmark trace executed on
 // one registered machine under one processor allocation.
@@ -37,7 +37,7 @@ type SweepScenario struct {
 }
 
 // sweepAllocs is the number of distinct processor allocations each
-// (machine, trace) pair is swept over: the memo key varies while the
+// (machine, trace) pair is swept over: the allocation varies while the
 // compiled trace is reused.
 const sweepAllocs = 32
 
@@ -47,7 +47,7 @@ const sweepAllocs = 32
 // arithmetically from the index — so every process, worker count and
 // run enumerates the identical set, and the (machine, trace,
 // allocation) triples are pairwise distinct for n up to
-// machines × traces × sweepAllocs: a guaranteed memo-cold sweep.
+// machines × traces × sweepAllocs: a guaranteed cold sweep.
 func SweepScenarios(n int) []SweepScenario {
 	machines := target.All()
 	if n <= 0 || len(machines) == 0 {
@@ -152,12 +152,12 @@ type SweepResult struct {
 // dominate at high worker counts.
 const sweepGrain = 64
 
-// Sweep executes the scenarios memo-cold and returns the deterministic
-// summary. Each call constructs fresh machine instances (cold timing
-// memos); one instance per machine name is shared by all workers, so
-// the run exercises the memo and the compiled-trace cache under real
-// contention. workers follows the sched convention (0 = GOMAXPROCS,
-// 1 = serial).
+// Sweep executes the scenarios cold and returns the deterministic
+// summary. Each call constructs fresh machine instances (cold
+// compiled-trace caches); one instance per machine name is shared by
+// all workers, so the run exercises the compiled-trace cache under
+// real contention. workers follows the sched convention (0 =
+// GOMAXPROCS, 1 = serial).
 func Sweep(scenarios []SweepScenario, workers int) (SweepResult, error) {
 	insts := make(map[string]target.Target)
 	for _, s := range scenarios {

@@ -8,9 +8,9 @@ import (
 )
 
 func TestSweepScenariosDistinct(t *testing.T) {
-	// The memo-cold guarantee: every (machine, trace fingerprint,
-	// allocation) triple is distinct, so no scenario can hit a memo
-	// entry stored by another.
+	// The cold guarantee: every (machine, trace fingerprint,
+	// allocation) triple is distinct, so no scenario repeats the work
+	// of another.
 	scens := SweepScenarios(2000)
 	if len(scens) != 2000 {
 		t.Fatalf("got %d scenarios, want 2000", len(scens))

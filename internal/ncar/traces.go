@@ -13,12 +13,12 @@ import (
 
 // sharedTargets holds one live instance per registry name for the
 // read-only table renderers. Every Run entry point is safe for
-// concurrent use (sharded memo, first-store-wins compiled caches), so
-// re-rendering a table warms one timing memo instead of rebuilding
-// each machine — and recompiling its traces — per call. Sharing is
-// safe because a machine's configuration is fixed at construction;
-// fault degradation is fine here too, since Degraded returns a new
-// machine. Drivers that need cold memos (Sweep) use target.Lookup.
+// concurrent use (first-store-wins compiled-trace caches), so
+// re-rendering a table reuses each machine's compiled traces instead
+// of rebuilding the machine and re-lowering its traces per call.
+// Sharing is safe because a machine's configuration is fixed at
+// construction; fault degradation is fine too, since Degraded returns
+// a new machine. Drivers that need cold caches (Sweep) use target.Lookup.
 var sharedTargets sync.Map // registry name -> target.Target
 
 func sharedTarget(name string) (target.Target, error) {
@@ -46,7 +46,7 @@ func mustSharedTarget(name string) target.Target {
 // benchTraces caches the compiled form of every benchmark trace the
 // drivers revisit: the figure sweeps, the cross-machine table, the
 // resilient runner and the scalar anchors all re-time the same trace
-// shapes (per point, machine and KTRIES draw), and each trace is a
+// shapes (per point, machine and report section), and each trace is a
 // pure function of its shape parameters. Cached compiled traces run
 // through Target.RunCompiled, skipping per-run trace construction and
 // fingerprint hashing; the results are bit-identical to Run.

@@ -22,7 +22,7 @@ import (
 //
 //	sx4d-snapshot v1
 //	counter <name> <uint64>          # lifetime stats counters
-//	memo <target> <hits> <misses>    # per-target timing-memo counters
+//	memo <target> <hits> <misses>    # per-target compiled-trace cache counters
 //	entry <fp:16-hex> <base64-body>  # one response-cache entry
 //	checksum <fnv64a:16-hex>         # over every preceding byte
 //
@@ -44,10 +44,10 @@ type Snapshot struct {
 	Entries  map[uint64][]byte
 }
 
-// MemoStat is one target's timing-memo counters at snapshot time. The
-// memo entries themselves (compiled timing artifacts) are rebuilt on
-// demand after a restart; only the books persist, so /v1/stats stays
-// continuous across a daemon's lives.
+// MemoStat is one target's compiled-trace cache counters at snapshot
+// time. The compiled traces themselves are rebuilt on demand after a
+// restart; only the books persist, so /v1/stats stays continuous
+// across a daemon's lives.
 type MemoStat struct {
 	Target       string
 	Hits, Misses uint64

@@ -134,10 +134,9 @@ func (r RunRequest) Canonical() RunRequest {
 
 // Fingerprint content-addresses the canonical request against one
 // machine configuration: an FNV-1a fold of the target's configuration
-// fingerprint (the same component the timing memo keys on), the
-// benchmark identity list, and every allocation and fault knob that
-// can reach a result byte. Workers is deliberately absent — Canonical
-// zeroes it — so worker counts share cache entries.
+// fingerprint, the benchmark identity list, and every allocation and
+// fault knob that can reach a result byte. Workers is deliberately
+// absent — Canonical zeroes it — so worker counts share cache entries.
 func (r RunRequest) Fingerprint(machineFP uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -105,7 +105,7 @@ type Server struct {
 	restoredMemo    []MemoStat
 
 	mu      sync.Mutex
-	targets map[string]target.Target // one shared instance per machine, memo warm across queries
+	targets map[string]target.Target // one shared instance per machine, compiled traces warm across queries
 }
 
 // New builds a Server from cfg, normalizing zero limits to defaults.
@@ -382,8 +382,8 @@ func (s *Server) queryContext(ctx context.Context) (context.Context, context.Can
 
 // target returns the shared instance for a registry name, building it
 // on first use. Instances are shared across queries deliberately:
-// Target.Run is concurrency-safe and the timing memo warms across the
-// whole query stream.
+// Target.Run is concurrency-safe and the compiled-trace cache warms
+// across the whole query stream.
 func (s *Server) target(name string) (target.Target, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

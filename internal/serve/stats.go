@@ -105,8 +105,8 @@ type StatCounters struct {
 }
 
 // Stats is the JSON shape of GET /v1/stats: the daemon's counters plus
-// a snapshot of the response cache and the aggregated timing-memo
-// counters of every machine instance the daemon has built. Hit rate is
+// a snapshot of the response cache and the aggregated compiled-trace
+// cache counters of every machine instance the daemon has built. Hit rate is
 // over run queries (hits / (hits + coalesced + executed)); coalesced
 // queries are not cache hits — the bytes had not been stored yet when
 // they arrived.
@@ -142,10 +142,10 @@ type Stats struct {
 	WarmStart       bool `json:"warm_start"`
 	RestoredEntries int  `json:"restored_entries"`
 
-	// MemoHits/MemoMisses/MemoEntries aggregate the per-target timing
-	// memos (the layer below the response cache: op-trace timings
-	// shared across queries that differ in benchmark list or fault
-	// schedule but replay common traces).
+	// MemoHits/MemoMisses/MemoEntries aggregate the per-target
+	// compiled-trace caches (Target.CacheStats), the layer below the
+	// response cache: queries that differ in benchmark list or fault
+	// schedule reuse the compiled traces they have in common.
 	MemoHits    uint64 `json:"memo_hits"`
 	MemoMisses  uint64 `json:"memo_misses"`
 	MemoEntries int    `json:"memo_entries"`
@@ -164,8 +164,8 @@ type Stats struct {
 }
 
 // snapshot folds the counters into the wire shape. Cache entry counts,
-// gauges and memo aggregates are supplied by the server, which owns
-// those structures.
+// gauges and compiled-trace cache aggregates are supplied by the
+// server, which owns those structures.
 func (s *serverStats) snapshot() Stats {
 	c := s.counters()
 	out := Stats{

@@ -22,9 +22,10 @@ var _ target.Degrader = (*Machine)(nil)
 //   - each port halving halves the per-CPU crossbar port width;
 //   - each stalled IOP is removed from the I/O subsystem.
 //
-// The result has its own configuration fingerprint, so the timing memo
-// can never serve healthy timings for degraded runs, and it is never
-// faster than the original on any trace (fewer resources, same work).
+// The result has its own configuration fingerprint and a cold cache,
+// so nothing can serve healthy timings for degraded runs, and it is
+// never faster than the original on any trace (fewer resources, same
+// work).
 // A degradation that leaves no surviving CPU returns an error wrapping
 // target.ErrMachineDown.
 func (m *Machine) Degraded(d fault.Degradation) (target.Target, error) {

@@ -44,7 +44,7 @@ func TestDegradedConfig(t *testing.T) {
 		t.Errorf("degraded IOPs = %d, want %d", degraded.IOPs, healthy.IOPs-2)
 	}
 	if dm.Fingerprint() == m.Fingerprint() {
-		t.Error("degraded machine fingerprints identically to healthy (memo would serve stale timings)")
+		t.Error("degraded machine fingerprints identically to healthy (configuration-keyed caches would serve stale results)")
 	}
 	// The original is untouched.
 	if m.Config() != Benchmarked() {

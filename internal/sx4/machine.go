@@ -48,14 +48,14 @@ type Result = target.Result
 
 // Machine executes operation traces against an SX-4 configuration. It
 // is safe for concurrent use: the configuration is fixed by New, runs
-// are pure functions of it, and both caches are concurrency-safe.
+// are pure functions of it, and the compiled-trace cache is
+// concurrency-safe.
 type Machine struct {
 	cfg       Config
 	mem       membank.System
 	intrinsic [prog.NumIntrinsics]float64 // clocks per element
 
-	fingerprint uint64       // configFingerprint(cfg), cache key part
-	cache       *target.Memo // memoized trace timings
+	fingerprint uint64 // configFingerprint(cfg)
 	// progs caches compiled trace timings (see compiled.go) keyed by
 	// program fingerprint.
 	progs *target.FPCache[*compiledProgram]
@@ -80,7 +80,6 @@ func New(cfg Config) *Machine {
 		},
 		intrinsic:   DefaultIntrinsicClocks,
 		fingerprint: configFingerprint(cfg),
-		cache:       target.NewMemo(),
 		progs:       &target.FPCache[*compiledProgram]{},
 	}
 	if cfg.IntrinsicScale > 0 {
@@ -127,25 +126,24 @@ func (m *Machine) Spec() target.Spec {
 	}
 }
 
-// Fingerprint returns the configuration fingerprint (the timing-memo
-// key component).
+// Fingerprint returns the configuration fingerprint.
 func (m *Machine) Fingerprint() uint64 { return m.fingerprint }
 
 // configFingerprint hashes every field of the configuration, so a
-// memoized timing can never be served to a machine built with any
-// other calibration: the memo key covers the whole config, the whole
-// trace and the RunOpts, and nothing else enters a simulation.
+// result cached under it can never be served for a machine built with
+// any other calibration: nothing but the config, the trace and the
+// RunOpts enters a simulation.
 func configFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", cfg)
 	return h.Sum64()
 }
 
-// CacheStats returns the machine's timing-memo counters.
-func (m *Machine) CacheStats() target.CacheStats { return m.cache.Stats() }
+// CacheStats returns the machine's compiled-trace cache counters.
+func (m *Machine) CacheStats() target.CacheStats { return m.progs.Stats() }
 
 // Clone returns a fresh machine with the same configuration and a cold
-// timing memo.
+// compiled-trace cache.
 func (m *Machine) Clone() target.Target { return New(m.cfg) }
 
 // tripCost is the resource usage of one trip of a loop body.
@@ -256,41 +254,28 @@ func (c tripCost) memBound() bool {
 		c.memBusy >= c.issue && c.memBusy >= c.intr && c.memBusy > 0
 }
 
-// Run simulates the program on the machine.
+// Run simulates the program on the machine. Run and RunCompiled take
+// the machine's one route: the trace's compiled timing, lowered into
+// the compiled-trace cache on first use, then an O(phases+loops) walk
+// of it for opts.
 func (m *Machine) Run(p prog.Program, opts RunOpts) Result {
-	return m.run(p.Fingerprint(), opts, p, nil)
+	cp := m.progs.LoadOrStore(p.Fingerprint(), func() *compiledProgram {
+		return m.compile(prog.MustCompile(p))
+	})
+	return m.runCompiled(cp, opts)
 }
 
 // RunCompiled is Run for a pre-flattened trace: c carries its
 // fingerprint, so the run costs no per-op hashing at all.
 func (m *Machine) RunCompiled(c *prog.Compiled, opts RunOpts) Result {
-	return m.run(c.Fingerprint, opts, prog.Program{}, c)
-}
-
-// run is the machine's one execution route: a memo lookup; on a miss,
-// the trace's compiled timing, built on first use from c, or from p
-// when the caller holds no compiled form; then a memo store. fp is the
-// program fingerprint.
-func (m *Machine) run(fp uint64, opts RunOpts, p prog.Program, c *prog.Compiled) Result {
-	k := target.MemoKey{Config: m.fingerprint, Program: fp, Opts: opts}
-	if r, ok := m.cache.Lookup(k); ok {
-		return r
-	}
-	cp := m.progs.LoadOrStore(fp, func() *compiledProgram {
-		if c != nil {
-			return m.compile(c)
-		}
-		return m.compile(prog.MustCompile(p))
-	})
-	r := m.runCompiled(cp, opts)
-	m.cache.Store(k, r)
-	return r
+	cp := m.progs.LoadOrStore(c.Fingerprint, func() *compiledProgram { return m.compile(c) })
+	return m.runCompiled(cp, opts)
 }
 
 // Interpret evaluates the machine model by walking the source trace op
-// by op, consulting neither the memo nor the compiled-trace cache. It
-// is the differential oracle the compiled route is checked against:
-// production code never calls it.
+// by op, bypassing the compiled-trace cache. It is the differential
+// oracle the compiled route is checked against: production code never
+// calls it.
 func (m *Machine) Interpret(p prog.Program, opts RunOpts) Result {
 	if err := p.Validate(); err != nil {
 		panic(err)

@@ -5,8 +5,8 @@ import "math"
 // fpMix folds one 64-bit word into the hash: an xor followed by a
 // SplitMix64-style finalizer, so every input bit diffuses across the
 // whole state. Word-at-a-time mixing keeps Fingerprint cheap enough to
-// compute on every Machine.Run call (the timing cache recomputes it
-// once per lookup, including the KTRIES repeats).
+// compute on every Machine.Run of a source program (RunCompiled reads
+// the fingerprint Compile stamped instead).
 func fpMix(h, v uint64) uint64 {
 	h ^= v
 	h *= 0xff51afd7ed558ccd
@@ -36,8 +36,8 @@ func fpString(h uint64, s string) uint64 {
 // the name, every phase's parallelism, barrier and serial-clock fields,
 // and every op of every loop body. Two programs with the same
 // fingerprint execute identically on a given machine, which is what
-// lets the machine model memoize trace timings (see the timing cache
-// in package sx4).
+// lets each machine model cache its compiled form of a trace (the
+// compiled-trace cache in packages sx4 and machine).
 func (p Program) Fingerprint() uint64 {
 	h := uint64(0xcbf29ce484222325)
 	h = fpString(h, p.Name)

@@ -12,19 +12,23 @@ import (
 //
 //   - determinism: two identical Run calls produce identical Results;
 //   - one route: RunCompiled on the flattened trace equals Run on the
-//     source program, memo-warm on the target and memo-cold on a clone;
+//     source program, cache-warm on the target and cache-cold on a
+//     clone;
+//   - no aliasing: overwriting a returned Result's phase clocks never
+//     changes what the next Run or RunCompiled returns;
 //   - clone transparency: a Clone carries the same name, fingerprint,
-//     scalar profile and spec, starts with a cold timing memo (zero
-//     CacheStats hits and misses), and its runs are result-identical;
+//     scalar profile and spec, starts with a cold compiled-trace cache
+//     (zero CacheStats hits and misses), and its runs are
+//     result-identical;
 //   - sane accounting: times are finite and non-negative, flop/word
 //     totals are non-negative and match the trace's own counts;
 //   - a sane spec: positive CPU count, clock and peak rate.
 //
 // The machine packages run it over every registered backend, so a model
-// change that breaks the contract — a data race through a shared memo, a
-// Clone that drops part of the configuration, a phase model that emits
-// NaN — fails loudly in the conformance test rather than as drifting
-// goldens three layers up.
+// change that breaks the contract — a data race through a shared cache,
+// a result that aliases a cached phase slice, a Clone that drops part
+// of the configuration, a phase model that emits NaN — fails loudly in
+// the conformance test rather than as drifting goldens three layers up.
 func Conformance(t testing.TB, tgt Target) {
 	t.Helper()
 	if tgt == nil {
@@ -60,7 +64,7 @@ func Conformance(t testing.TB, tgt Target) {
 		t.Errorf("%s: Fingerprint() not stable across calls", tgt.Name())
 	}
 
-	// Warm the original first, so a Clone sharing its memo shows up as
+	// Warm the original first, so a Clone sharing its cache shows up as
 	// nonzero counters.
 	tgt.Run(probePrograms()[0], RunOpts{})
 	cl := tgt.Clone()
@@ -93,20 +97,38 @@ func Conformance(t testing.TB, tgt Target) {
 				t.Errorf("%s: %s %+v: Run not deterministic:\n  %+v\n  %+v",
 					tgt.Name(), p.Name, opts, r1, r2)
 			}
-			if rc := tgt.RunCompiled(c, opts); !reflect.DeepEqual(r1, rc) {
+			rc := tgt.RunCompiled(c, opts)
+			if !reflect.DeepEqual(r1, rc) {
 				t.Errorf("%s: %s %+v: RunCompiled differs from Run:\n  Run         %+v\n  RunCompiled %+v",
 					tgt.Name(), p.Name, opts, r1, rc)
 			}
-			// The clone takes the compiled entry first, memo-cold.
-			if rc := cl.RunCompiled(c, opts); !reflect.DeepEqual(r1, rc) {
+			// The clone takes the compiled entry first, cache-cold.
+			if cc := cl.RunCompiled(c, opts); !reflect.DeepEqual(r1, cc) {
 				t.Errorf("%s: %s %+v: Clone RunCompiled differs:\n  orig  %+v\n  clone %+v",
-					tgt.Name(), p.Name, opts, r1, rc)
+					tgt.Name(), p.Name, opts, r1, cc)
 			}
-			if rc := cl.Run(p.Clone(), opts); !reflect.DeepEqual(r1, rc) {
+			want := cl.Run(p.Clone(), opts)
+			if !reflect.DeepEqual(r1, want) {
 				t.Errorf("%s: %s %+v: Clone run differs:\n  orig  %+v\n  clone %+v",
-					tgt.Name(), p.Name, opts, r1, rc)
+					tgt.Name(), p.Name, opts, r1, want)
 			}
 			checkResult(t, tgt.Name(), p, r1)
+
+			// Results never alias an engine cache: scribbling over
+			// every returned phase must not reach the next run.
+			for _, r := range []Result{r1, r2, rc} {
+				for i := range r.Phases {
+					r.Phases[i].Clocks = -1
+				}
+			}
+			if r := tgt.Run(p, opts); !reflect.DeepEqual(r, want) {
+				t.Errorf("%s: %s %+v: Run after overwriting a returned result's phases:\n  got  %+v\n  want %+v",
+					tgt.Name(), p.Name, opts, r, want)
+			}
+			if r := tgt.RunCompiled(c, opts); !reflect.DeepEqual(r, want) {
+				t.Errorf("%s: %s %+v: RunCompiled after overwriting a returned result's phases:\n  got  %+v\n  want %+v",
+					tgt.Name(), p.Name, opts, r, want)
+			}
 		}
 	}
 }

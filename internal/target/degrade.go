@@ -16,7 +16,7 @@ var ErrMachineDown = errors.New("no surviving CPUs")
 // that can derive a copy of itself operating under a fault-induced
 // Degradation — fewer CPUs, half the memory banks, a slowed crossbar
 // port — implements it. The degraded copy is a fresh Target with its
-// own configuration fingerprint (so memoized healthy timings can never
+// own configuration fingerprint (so cached healthy results can never
 // be served for degraded runs) and must be at least as slow as the
 // original on every trace: degradation never speeds a machine up.
 type Degrader interface {

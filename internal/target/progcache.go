@@ -1,15 +1,15 @@
 package target
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// FPCache is a sharded concurrent cache keyed by 64-bit fingerprint,
-// the container the machine models use for compiled-trace timing
-// artifacts: values are computed once per (configuration, program)
-// and re-read on every subsequent Run, so reads vastly outnumber
-// writes and must not contend across worker goroutines.
+// FPCache is a sharded concurrent cache keyed by 64-bit fingerprint:
+// the machine models' compiled traces, sx4d's response bodies, the
+// fleet engine's scenarios and prodload's results. Reads vastly
+// outnumber writes and must not contend across worker goroutines.
 //
 // The zero value is ready to use. Values must be immutable once
 // stored (the cache hands back the stored value itself, never a
@@ -22,22 +22,27 @@ type FPCache[V any] struct {
 	shard  [fpShards]fpShard[V]
 }
 
-// FPCacheStats reports a fingerprint cache's effectiveness counters:
-// the numbers the sx4d daemon surfaces for its content-addressed
-// response cache on /v1/stats. A LoadOrStore that computes counts as
-// one miss; the racing losers of a concurrent first load each count
-// their own miss (they did the work).
-type FPCacheStats struct {
+// CacheStats reports a fingerprint cache's effectiveness counters: the
+// numbers -cachestats prints and /v1/stats surfaces. A LoadOrStore
+// that computes counts as one miss; the racing losers of a concurrent
+// first load each count their own miss (they did the work).
+type CacheStats struct {
 	Hits, Misses uint64
-	Entries      int
+	// Entries is the number of values currently held.
+	Entries int
 }
 
 // HitRate returns the fraction of lookups served from the cache.
-func (s FPCacheStats) HitRate() float64 {
+func (s CacheStats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0
 	}
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
+}
+
+func (s CacheStats) String() string {
+	return fmt.Sprintf("%d hits, %d misses (%.1f%% hit rate), %d entries",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
 }
 
 const fpShards = 64 // power of two, masked below
@@ -130,8 +135,8 @@ func (c *FPCache[V]) Range(f func(fp uint64, v V) bool) {
 
 // Stats returns the cache's counters. A LoadOrStore that found the
 // value counts as the one hit its inner Load recorded.
-func (c *FPCache[V]) Stats() FPCacheStats {
-	return FPCacheStats{
+func (c *FPCache[V]) Stats() CacheStats {
+	return CacheStats{
 		Hits:    c.hits.Load(),
 		Misses:  c.misses.Load(),
 		Entries: c.Len(),

@@ -1,13 +1,14 @@
 package target
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
 
 func TestFPCacheStats(t *testing.T) {
 	var c FPCache[int]
-	if st := c.Stats(); st != (FPCacheStats{}) {
+	if st := c.Stats(); st != (CacheStats{}) {
 		t.Fatalf("fresh cache stats = %+v, want zero", st)
 	}
 	if _, ok := c.Load(7); ok {
@@ -95,4 +96,12 @@ func TestFPCacheStatsConcurrent(t *testing.T) {
 	if st.Misses < 32 {
 		t.Fatalf("misses = %d, want at least one per distinct fingerprint", st.Misses)
 	}
+}
+
+// ExampleCacheStats_String pins the human-readable stats line the
+// CLIs print under -cachestats.
+func ExampleCacheStats_String() {
+	s := CacheStats{Hits: 3, Misses: 1, Entries: 2}
+	fmt.Println(s)
+	// Output: 3 hits, 1 misses (75.0% hit rate), 2 entries
 }

@@ -14,9 +14,10 @@
 //   - a name-keyed machine registry (Register/Lookup/All), so runners
 //     and CLIs select backends by name ("-machine ymp") without
 //     constructing concrete machine types themselves;
-//   - a shared timing memo (Memo) keyed on a target's configuration
-//     fingerprint, so every backend's warm-cache results are
-//     byte-identical to its cold ones.
+//   - the repo's cache containers: FPCache, keyed by 64-bit
+//     fingerprint, which holds every machine's compiled traces and
+//     reports the one CacheStats type, and TraceCache, which holds
+//     compiled traces keyed by their shape parameters.
 //
 // The package depends only on sx4/prog (the trace vocabulary) and the
 // standard library; the concrete machines depend on it, never the
@@ -78,14 +79,6 @@ func (r Result) PortMBps() float64 {
 	return float64(r.Words*8) / r.Seconds / 1e6
 }
 
-// Clone returns a deep copy of the result, so memoized Phases slices
-// cannot be aliased by concurrent callers.
-func (r Result) Clone() Result {
-	out := r
-	out.Phases = append([]PhaseTime(nil), r.Phases...)
-	return out
-}
-
 // ScalarProfile describes a machine's scalar processing path, the one
 // HINT exercises: issue width, cache, and scalar memory latency.
 type ScalarProfile struct {
@@ -140,7 +133,8 @@ func (s Spec) Seconds(clocks float64) float64 { return clocks * s.ClockNS * 1e-9
 // Target is a modeled machine: it executes operation traces and
 // exposes its scalar profile and specification. Implementations must
 // be pure — Run is a function of (program, opts) and the target's
-// configuration only — and safe for concurrent Run calls.
+// configuration only — and safe for concurrent Run calls. A returned
+// Result is the caller's own: it never aliases an engine cache.
 type Target interface {
 	// Name returns the model designation, e.g. "SX-4/32" or "CRI Y-MP".
 	Name() string
@@ -151,22 +145,27 @@ type Target interface {
 	// program, so a driver that compiles each distinct trace once pays
 	// the per-op walk once too. Results are bit-identical to Run on
 	// the source program (Conformance pins this); the two entry points
-	// share one timing memo.
+	// share one compiled-trace cache.
 	RunCompiled(c *prog.Compiled, opts RunOpts) Result
 	// Scalar returns the machine's scalar-path description (the HINT
 	// profile).
 	Scalar() ScalarProfile
 	// Spec returns the machine's specification sheet.
 	Spec() Spec
-	// Fingerprint hashes the target's complete configuration: the
-	// timing-memo key component, so memoized results can never be
-	// served across configurations (or backends).
+	// Fingerprint hashes the target's complete configuration: the key
+	// component of every configuration-keyed cache above the model
+	// (sx4d's responses, the fleet scenario memo, prodload's results),
+	// so a result can never be served across configurations (or
+	// backends).
 	Fingerprint() uint64
-	// CacheStats returns the target's timing-memo counters; the CLIs'
-	// -cachestats output and the daemon's /v1/stats read them.
+	// CacheStats returns the counters of the target's compiled-trace
+	// cache: hits are runs whose trace was already lowered for this
+	// machine, misses are per-machine compiles, entries the compiled
+	// traces held. The CLIs' -cachestats output and the daemon's
+	// /v1/stats read them.
 	CacheStats() CacheStats
 	// Clone returns a fresh target with the same configuration and a
-	// cold timing memo. Clones must be run-for-run identical to the
-	// original (Conformance pins this).
+	// cold compiled-trace cache. Clones must be run-for-run identical
+	// to the original (Conformance pins this).
 	Clone() Target
 }

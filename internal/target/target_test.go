@@ -7,7 +7,8 @@ import (
 	"sx4bench/internal/sx4/prog"
 )
 
-// stub is a minimal deterministic Target for registry and memo tests.
+// stub is a minimal deterministic Target for registry and conformance
+// tests.
 type stub struct {
 	name string
 	fp   uint64
@@ -176,53 +177,6 @@ func TestMustLookupPanicsOnUnknown(t *testing.T) {
 	MustLookup("no-such-machine")
 }
 
-func TestMemoRoundTrip(t *testing.T) {
-	m := NewMemo()
-	k := MemoKey{Config: 7, Program: 42, Opts: RunOpts{Procs: 2}}
-	if _, ok := m.Lookup(k); ok {
-		t.Fatal("empty memo reported a hit")
-	}
-	r := Result{Program: "p", Procs: 2, Clocks: 10, Seconds: 1e-8,
-		Flops: 100, Words: 50,
-		Phases: []PhaseTime{{Name: "ph", Clocks: 10, Flops: 100, Words: 50}}}
-	m.Store(k, r)
-
-	got, ok := m.Lookup(k)
-	if !ok {
-		t.Fatal("stored key missed")
-	}
-	if got.Clocks != r.Clocks || len(got.Phases) != 1 {
-		t.Errorf("Lookup returned %+v, want %+v", got, r)
-	}
-	// Deep copy on the way out: mutating the returned Phases must not
-	// affect subsequent lookups.
-	got.Phases[0].Name = "mutated"
-	again, _ := m.Lookup(k)
-	if again.Phases[0].Name != "ph" {
-		t.Error("Lookup result aliases the stored Phases slice")
-	}
-
-	s := m.Stats()
-	if s.Hits != 2 || s.Misses != 1 || s.Entries != 1 {
-		t.Errorf("Stats = %+v, want 2 hits, 1 miss, 1 entry", s)
-	}
-	if hr := s.HitRate(); hr < 0.66 || hr > 0.67 {
-		t.Errorf("HitRate = %v, want 2/3", hr)
-	}
-}
-
-func TestMemoKeyDistinguishesConfig(t *testing.T) {
-	m := NewMemo()
-	r := Result{Program: "p", Clocks: 1}
-	m.Store(MemoKey{Config: 1, Program: 42}, r)
-	if _, ok := m.Lookup(MemoKey{Config: 2, Program: 42}); ok {
-		t.Error("memo served a result across config fingerprints")
-	}
-	if _, ok := m.Lookup(MemoKey{Config: 1, Program: 42, Opts: RunOpts{Procs: 2}}); ok {
-		t.Error("memo served a result across RunOpts")
-	}
-}
-
 func TestCacheStatsString(t *testing.T) {
 	s := CacheStats{Hits: 3, Misses: 1, Entries: 2}
 	want := "3 hits, 1 misses (75.0% hit rate), 2 entries"
@@ -248,15 +202,6 @@ func TestResultRates(t *testing.T) {
 	var zero Result
 	if zero.MFLOPS() != 0 || zero.PortMBps() != 0 {
 		t.Error("zero-seconds rates should be 0")
-	}
-}
-
-func TestResultClone(t *testing.T) {
-	r := Result{Phases: []PhaseTime{{Name: "a"}, {Name: "b"}}}
-	c := r.Clone()
-	c.Phases[0].Name = "mutated"
-	if r.Phases[0].Name != "a" {
-		t.Error("Clone aliases the Phases slice")
 	}
 }
 

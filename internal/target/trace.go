@@ -7,11 +7,11 @@ import (
 )
 
 // TraceCache memoizes compiled traces by the parameters that generate
-// them. The experiment drivers rebuild the same trace shapes run after
-// run — every sweep point, KTRIES draw and cross-machine column used
-// to pay the full O(ops) construction-plus-hash cost — so helpers
-// cache the compiled form keyed by the generating parameters and run
-// it through Target.RunCompiled.
+// them. The experiment drivers revisit the same trace shapes — sweep
+// points, cross-machine columns, report sections and resilient
+// attempts would each pay the full O(ops) construction-plus-hash cost
+// — so helpers cache the compiled form keyed by the generating
+// parameters and run it through Target.RunCompiled.
 //
 // The zero value is ready to use. build must be a pure function of k
 // (the repo-wide trace contract); when two goroutines race on a cold

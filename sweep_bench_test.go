@@ -1,6 +1,6 @@
-// The cold-sweep scaling benchmark: a memo-cold 10 000-scenario sweep
-// across every registered machine, the workload the compiled-trace
-// route and the sharded timing memo exist for. Sub-benchmarks sweep
+// The cold-sweep scaling benchmark: a cold 10 000-scenario sweep across
+// every registered machine, the workload the compiled-trace route and
+// its sharded per-machine cache exist for. Sub-benchmarks sweep
 // the worker count (1/4/8), so `make bench-sweep` pins the scaling
 // curve in BENCH_SWEEP.json. Every variant cross-checks the sweep
 // checksum: parallelism must not change a single bit.
