@@ -128,12 +128,13 @@ chaos:
 
 # Resilience smoke: the canonical fault schedule across sx4-1, sx4-32
 # and c90 — the resilience artifact must match its golden, no machine
-# may lose a job (last column all zeros), and a resilient RADABS run
-# must survive the schedule end to end.
+# may lose a job (last column all zeros), and every suite member must
+# survive a seeded fault schedule end to end through the resilient
+# retry loop (PRODLOAD needs 4 attempts).
 faults:
 	$(GO) run ./cmd/goldens -artifact resilience
 	$(GO) run ./cmd/figures -exp resilience | awk 'NR>3 && NF>1 { if ($$NF != "0") { print "faults: lost jobs in row:", $$0; exit 1 } }'
-	$(GO) run ./cmd/ncarbench -machine sx4-32 -run RADABS -faults 1996
+	$(GO) run ./cmd/ncarbench -machine sx4-32 -run all -faults 1996
 
 # Fleet capacity smoke: the canonical capacity artifact must match its
 # golden (the 24-scenario Monte Carlo over sx4-32x2,c90), and a live

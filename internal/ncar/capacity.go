@@ -5,7 +5,6 @@ import (
 
 	"sx4bench/internal/core"
 	"sx4bench/internal/fleet"
-	"sx4bench/internal/target"
 )
 
 // CanonicalFleetSpec is the fleet the capacity artifact plans: two
@@ -24,10 +23,6 @@ const CanonicalCapacityScenarios = 24
 // benchmark column in the process, so repeated capacity questions
 // against overlapping scenario sets re-simulate nothing.
 var capacityEngine fleet.Engine
-
-// CapacityEngineStats exposes the shared engine's memo counters (the
-// sx4d /v1/stats surface).
-func CapacityEngineStats() target.CacheStats { return capacityEngine.Stats() }
 
 // CapacityReport runs (or replays from the memo) a capacity Monte
 // Carlo: `scenarios` week-long draws over the fleet described by spec,

@@ -60,14 +60,14 @@ func TestCapacityTableShape(t *testing.T) {
 }
 
 func TestCapacityReportSharedMemoAccumulates(t *testing.T) {
-	before := CapacityEngineStats()
+	before := capacityEngine.Stats()
 	if _, err := CapacityReport(CanonicalFleetSpec, 8, 1996, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CapacityReport(CanonicalFleetSpec, 8, 1996, 0); err != nil {
 		t.Fatal(err)
 	}
-	after := CapacityEngineStats()
+	after := capacityEngine.Stats()
 	if after.Hits < before.Hits+8 {
 		t.Errorf("repeat capacity query did not ride the shared memo: %+v -> %+v", before, after)
 	}

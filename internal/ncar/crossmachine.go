@@ -6,13 +6,8 @@ import (
 
 	"sx4bench/internal/ccm2"
 	"sx4bench/internal/core"
-	"sx4bench/internal/fftpack"
 	"sx4bench/internal/hint"
-	"sx4bench/internal/iobench"
-	"sx4bench/internal/kernels"
 	"sx4bench/internal/mom"
-	"sx4bench/internal/prodload"
-	"sx4bench/internal/sx4/iop"
 	"sx4bench/internal/target"
 )
 
@@ -20,9 +15,9 @@ import (
 // registry and renders the paper-style comparison: one row per suite
 // member (plus HINT, placed beside RADABS so the ranking inversion the
 // paper criticizes is visible in one glance), one column per machine in
-// canonical registration order. Everything is a single deterministic
-// model evaluation — no KTRIES jitter — so the table is byte-exact and
-// golden-pinned.
+// canonical registration order. Each member cell is a headline number
+// of the evaluation Measure reports — one deterministic model run, no
+// KTRIES jitter — so the table is byte-exact and golden-pinned.
 //
 // Category conventions:
 //
@@ -60,87 +55,49 @@ func CrossMachineTable() (core.Table, error) {
 		}
 		t.Rows = append(t.Rows, cells)
 	}
-	// ioRow gates an I/O-category value on a modeled disk subsystem.
-	ioRow := func(label string, cell func(tgt target.Target) string) {
-		row(label, func(tgt target.Target) string {
-			if tgt.Spec().DiskBytesPerSec <= 0 {
-				return "n/a"
+	for _, b := range Suite() {
+		if b.Category == Correctness {
+			row(b.Name, func(target.Target) string { return "host" })
+			continue
+		}
+		r := crossMachineRows[b.Name]
+		row(r.label, func(tgt target.Target) string {
+			// headline, not evaluate: a cell needs the rate, not a
+			// Metrics map allocated per cell.
+			_, unit, rate := headline(tgt, b, tgt.Spec().CPUs)
+			if unit == "" {
+				return "n/a" // an I/O member on a machine without a disk subsystem
 			}
-			return cell(tgt)
+			return core.Fixed(rate, r.prec)
 		})
-	}
-	host := func(target.Target) string { return "host" }
-	opts1 := target.RunOpts{Procs: 1}
-
-	row("PARANOIA", host)
-	row("ELEFUNT", host)
-
-	copyK := last(kernels.CopySweep(1))
-	row("COPY (MB/s)", func(tgt target.Target) string {
-		r := tgt.RunCompiled(copyTrace(copyK), opts1)
-		return fmt.Sprintf("%.1f", float64(copyK.PayloadBytes())/r.Seconds/1e6)
-	})
-	iaK := last(kernels.IASweep(1))
-	row("IA (MB/s)", func(tgt target.Target) string {
-		r := tgt.RunCompiled(iaTrace(iaK), opts1)
-		return fmt.Sprintf("%.1f", float64(iaK.PayloadBytes())/r.Seconds/1e6)
-	})
-	xpK := last(kernels.XposeSweep(1))
-	row("XPOSE (MB/s)", func(tgt target.Target) string {
-		r := tgt.RunCompiled(xposeTrace(xpK), opts1)
-		return fmt.Sprintf("%.1f", float64(xpK.PayloadBytes())/r.Seconds/1e6)
-	})
-
-	const rfftN = 1024
-	rfftM := fftpack.RFFTInstances(rfftN)
-	row("RFFT (MFLOPS)", func(tgt target.Target) string {
-		r := tgt.RunCompiled(rfftTrace(rfftN, rfftM), opts1)
-		return fmt.Sprintf("%.1f", fftpack.NominalMFLOPS(rfftN, rfftM, r.Seconds))
-	})
-	const vfftN, vfftM = 256, 500
-	row("VFFT (MFLOPS)", func(tgt target.Target) string {
-		r := tgt.RunCompiled(vfftTrace(vfftN, vfftM), opts1)
-		return fmt.Sprintf("%.1f", fftpack.NominalMFLOPS(vfftN, vfftM, r.Seconds))
-	})
-
-	row("RADABS (MFLOPS)", func(tgt target.Target) string {
-		return fmt.Sprintf("%.1f", RADABSMFlops(tgt))
-	})
-	row("HINT (MQUIPS)", func(tgt target.Target) string {
-		return fmt.Sprintf("%.1f", hint.ModelMQUIPS(tgt.Scalar()))
-	})
-
-	// The I/O category runs on the node's IOP subsystem; its geometry is
-	// shared by every disk-bearing configuration, so the sweep runs once.
-	sub := iop.New()
-	t63, _ := ccm2.ResolutionByName("T63L18")
-	histMBps := iobench.RunHistoryWrite(sub.DiskArray, t63).MBps
-	hippi := last(iobench.HIPPISweep(sub, 256<<20)).AggregateMBps
-	var netMBps float64
-	for _, n := range iobench.RunNetwork(iobench.NewFDDI(), iobench.StandardScript()) {
-		if n.MBps > netMBps {
-			netMBps = n.MBps
+		if b.Name == "RADABS" {
+			row("HINT (MQUIPS)", func(tgt target.Target) string {
+				return core.Fixed(hint.ModelMQUIPS(tgt.Scalar()), 1)
+			})
 		}
 	}
-	ioRow("IO (MB/s)", func(target.Target) string { return fmt.Sprintf("%.1f", histMBps) })
-	ioRow("HIPPI (MB/s)", func(target.Target) string { return fmt.Sprintf("%.1f", hippi) })
-	ioRow("NETWORK (MB/s)", func(target.Target) string { return fmt.Sprintf("%.2f", netMBps) })
-
-	row("PRODLOAD (min)", func(tgt target.Target) string {
-		return fmt.Sprintf("%.1f", prodload.Run(tgt).TotalMinutes())
-	})
-
-	t42, _ := ccm2.ResolutionByName("T42L18")
-	row("CCM2 T42L18 (GFLOPS)", func(tgt target.Target) string {
-		return fmt.Sprintf("%.2f", ccm2.SustainedGFLOPS(tgt, t42, tgt.Spec().CPUs))
-	})
-	row("MOM (MFLOPS)", func(tgt target.Target) string {
-		return fmt.Sprintf("%.1f", mom.SustainedMFLOPS(tgt))
-	})
-	row("POP (MFLOPS)", func(tgt target.Target) string {
-		return fmt.Sprintf("%.1f", POPMFlops(tgt))
-	})
 	return t, nil
+}
+
+// crossMachineRows gives each measured suite member's row label and the
+// decimal places of its cells.
+var crossMachineRows = map[string]struct {
+	label string
+	prec  int
+}{
+	"COPY":     {"COPY (MB/s)", 1},
+	"IA":       {"IA (MB/s)", 1},
+	"XPOSE":    {"XPOSE (MB/s)", 1},
+	"RFFT":     {"RFFT (MFLOPS)", 1},
+	"VFFT":     {"VFFT (MFLOPS)", 1},
+	"RADABS":   {"RADABS (MFLOPS)", 1},
+	"IO":       {"IO (MB/s)", 1},
+	"HIPPI":    {"HIPPI (MB/s)", 1},
+	"NETWORK":  {"NETWORK (MB/s)", 2},
+	"PRODLOAD": {"PRODLOAD (min)", 1},
+	"CCM2":     {"CCM2 T42L18 (GFLOPS)", 2},
+	"MOM":      {"MOM (MFLOPS)", 1},
+	"POP":      {"POP (MFLOPS)", 1},
 }
 
 // last returns the final element of a sweep.

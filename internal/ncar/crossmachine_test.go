@@ -154,3 +154,16 @@ func TestCrossMachineDeterministic(t *testing.T) {
 		t.Error("CrossMachineTable differs across calls")
 	}
 }
+
+// BenchmarkCrossMachineTable times a warm render: every machine's
+// traces compiled and the process-wide results cached.
+func BenchmarkCrossMachineTable(b *testing.B) {
+	if _, err := CrossMachineTable(); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := CrossMachineTable(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

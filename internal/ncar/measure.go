@@ -12,8 +12,10 @@ import (
 	"sx4bench/internal/iobench"
 	"sx4bench/internal/kernels"
 	"sx4bench/internal/mom"
+	"sx4bench/internal/pop"
 	"sx4bench/internal/prodload"
 	"sx4bench/internal/sx4/iop"
+	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
 
@@ -29,8 +31,8 @@ type Measurement struct {
 	Benchmark string
 	KTries    int
 	// Seconds is the simulated duration of one attempt under the
-	// member's repetition convention (the same model AttemptSeconds the
-	// resilient runner schedules with).
+	// member's repetition convention: the duration the resilient runner
+	// schedules with, from the same model run as Metrics.
 	Seconds float64
 	// Metrics holds the member's headline rates, keyed by unit
 	// ("mflops", "mbps", "gflops", "minutes", "category_pass"). I/O
@@ -71,9 +73,9 @@ func abandoned(ctx context.Context, name string) error {
 
 // Measure executes one suite member on the target and returns its
 // structured result. cpus <= 0 means the machine's full CPU count.
-// The evaluation is deterministic: a single model run per headline
-// number, no KTRIES jitter, so repeated calls are byte-identical once
-// rendered.
+// The evaluation is deterministic: one model run, from which both the
+// attempt duration and the headline rates derive, and no KTRIES
+// jitter, so repeated calls are byte-identical once rendered.
 //
 // ctx bounds the host-side work, not the simulated clock: a cancelled
 // or expired context abandons the measurement before it starts (and,
@@ -95,71 +97,97 @@ func Measure(ctx context.Context, m target.Target, name string, cpus int) (Measu
 	if cpus <= 0 {
 		cpus = m.Spec().CPUs
 	}
-	out := Measurement{
-		Benchmark: name,
-		KTries:    b.KTries,
-		Seconds:   AttemptSeconds(m, name, cpus),
+	return evaluate(m, b, cpus), nil
+}
+
+// The memory kernels' suite numbers are the largest-N point of each
+// sweep (one long stream: the bandwidth-limited regime).
+var (
+	copyMax  = last(kernels.CopySweep(1))
+	iaMax    = last(kernels.IASweep(1))
+	xposeMax = last(kernels.XposeSweep(1))
+)
+
+// evaluate measures one suite member on m: headline's single model
+// run, packaged as the member's Measurement (Metrics holds the headline
+// rate, or is nil when the member reports none on m). cpus is already
+// resolved (> 0).
+func evaluate(m target.Target, b Benchmark, cpus int) Measurement {
+	seconds, unit, rate := headline(m, b, cpus)
+	out := Measurement{Benchmark: b.Name, KTries: b.KTries, Seconds: seconds}
+	if unit != "" {
+		out.Metrics = map[string]float64{unit: rate}
 	}
-	metric := func(unit string, v float64) {
-		if out.Metrics == nil {
-			out.Metrics = make(map[string]float64)
-		}
-		out.Metrics[unit] = v
-	}
+	return out
+}
+
+// headline runs one suite member's model once on m and derives both of
+// the member's numbers from that run: the duration of one attempt under
+// the member's repetition convention, and the headline rate in unit
+// (unit is "" for an I/O member on a machine without a modeled disk
+// subsystem). Correctness and I/O members run fixed nominal durations
+// (their cost does not depend on the compute model).
+func headline(m target.Target, b Benchmark, cpus int) (seconds float64, unit string, rate float64) {
 	opts1 := target.RunOpts{Procs: 1}
-	switch name {
+	stream := func(c *prog.Compiled, payload int64) (float64, string, float64) {
+		r := m.RunCompiled(c, opts1)
+		return 20 * r.Seconds, "mbps", float64(payload) / r.Seconds / 1e6
+	}
+	fft := func(c *prog.Compiled, n, mm int) (float64, string, float64) {
+		r := m.RunCompiled(c, opts1)
+		return 5 * r.Seconds, "mflops", fftpack.NominalMFLOPS(n, mm, r.Seconds)
+	}
+	switch b.Name {
 	case "PARANOIA", "ELEFUNT":
 		if RunCorrectness().Pass {
-			metric("category_pass", 1)
-		} else {
-			metric("category_pass", 0)
+			return 1, "category_pass", 1
 		}
+		return 1, "category_pass", 0
 	case "COPY":
-		k := last(kernels.CopySweep(1))
-		r := m.RunCompiled(copyTrace(k), opts1)
-		metric("mbps", float64(k.PayloadBytes())/r.Seconds/1e6)
+		return stream(copyTrace(copyMax), copyMax.PayloadBytes())
 	case "IA":
-		k := last(kernels.IASweep(1))
-		r := m.RunCompiled(iaTrace(k), opts1)
-		metric("mbps", float64(k.PayloadBytes())/r.Seconds/1e6)
+		return stream(iaTrace(iaMax), iaMax.PayloadBytes())
 	case "XPOSE":
-		k := last(kernels.XposeSweep(1))
-		r := m.RunCompiled(xposeTrace(k), opts1)
-		metric("mbps", float64(k.PayloadBytes())/r.Seconds/1e6)
+		return stream(xposeTrace(xposeMax), xposeMax.PayloadBytes())
 	case "RFFT":
 		const n = 1024
 		mm := fftpack.RFFTInstances(n)
-		r := m.RunCompiled(rfftTrace(n, mm), opts1)
-		metric("mflops", fftpack.NominalMFLOPS(n, mm, r.Seconds))
+		return fft(rfftTrace(n, mm), n, mm)
 	case "VFFT":
 		const n, mm = 256, 500
-		r := m.RunCompiled(vfftTrace(n, mm), opts1)
-		metric("mflops", fftpack.NominalMFLOPS(n, mm, r.Seconds))
+		return fft(vfftTrace(n, mm), n, mm)
 	case "RADABS":
-		metric("mflops", RADABSMFlops(m))
+		// Nominal RADABS work at the machine's achieved rate.
+		mf := RADABSMFlops(m)
+		return 10_000 / mf, "mflops", mf
 	case "IO", "HIPPI", "NETWORK":
-		if m.Spec().DiskBytesPerSec > 0 {
-			disk, hippi, netMax := ioHeadlines()
-			switch name {
-			case "IO":
-				metric("mbps", disk)
-			case "HIPPI":
-				metric("mbps", hippi)
-			case "NETWORK":
-				metric("mbps", netMax)
-			}
+		if m.Spec().DiskBytesPerSec <= 0 {
+			return 30, "", 0
 		}
+		disk, hippi, netMax := ioHeadlines()
+		switch b.Name {
+		case "IO":
+			return 30, "mbps", disk
+		case "HIPPI":
+			return 30, "mbps", hippi
+		}
+		return 30, "mbps", netMax
 	case "PRODLOAD":
-		metric("minutes", prodload.Run(m).TotalMinutes())
+		r := prodload.Run(m)
+		return r.TotalSeconds, "minutes", r.TotalMinutes()
 	case "CCM2":
+		// One simulated T42 day.
 		t42, _ := ccm2.ResolutionByName("T42L18")
-		metric("gflops", ccm2.SustainedGFLOPS(m, t42, cpus))
+		step := ccm2.StepSeconds(m, t42, cpus, cpus)
+		return float64(t42.StepsPerDay()) * step, "gflops", float64(ccm2.StepFlops(t42)) / step / 1e9
 	case "MOM":
-		metric("mflops", mom.SustainedMFLOPS(m))
+		mf := mom.SustainedMFLOPS(m)
+		return 15_000 / mf, "mflops", mf
 	case "POP":
-		metric("mflops", POPMFlops(m))
+		r := m.RunCompiled(pop.CompiledStepTrace(pop.TwoDegree), opts1)
+		return 100 * r.Seconds, "mflops", r.MFLOPS()
 	}
-	return out, nil
+	return 1, "", 0
 }
 
 // MeasureSuite measures the named members (nil or empty = the whole
@@ -194,25 +222,21 @@ type ResilientMeasurement struct {
 }
 
 // MeasureResilient is Measure under a fault schedule: the retry loop of
-// RunResilient, with the surviving attempt's degraded machine measured
-// structurally instead of rendered as text. ctx is host-side only, like
-// Measure's: the resilient retry loop runs on the simulated clock and
-// is not interruptible mid-member.
+// RunResilient, returning the measurement of the attempt that survived
+// (the same model run that timed the attempt) instead of rendered text.
+// ctx is host-side only, like Measure's: the resilient retry loop runs
+// on the simulated clock and is not interruptible mid-member.
 func MeasureResilient(ctx context.Context, m target.Target, name string, cpus int, opts ResilientOpts) (ResilientMeasurement, error) {
 	if err := ctx.Err(); err != nil {
 		return ResilientMeasurement{}, abandoned(ctx, name)
 	}
-	dm, res, err := runAttempts(m, name, cpus, opts)
-	out := ResilientMeasurement{
-		Attempts:   res.Attempts,
-		FinishedAt: res.FinishedAt,
-		Degraded:   res.Degraded,
-	}
-	if err != nil {
-		return out, err
-	}
-	out.Measurement, err = Measure(ctx, dm, name, cpus)
-	return out, err
+	_, meas, res, err := runAttempts(m, name, cpus, opts)
+	return ResilientMeasurement{
+		Measurement: meas,
+		Attempts:    res.Attempts,
+		FinishedAt:  res.FinishedAt,
+		Degraded:    res.Degraded,
+	}, err
 }
 
 // MeasureSuiteResilient is MeasureSuite under a fault schedule; each

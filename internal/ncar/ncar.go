@@ -20,7 +20,6 @@ import (
 	"sx4bench/internal/mom"
 	"sx4bench/internal/paranoia"
 	"sx4bench/internal/pop"
-	"sx4bench/internal/prodload"
 	"sx4bench/internal/radabs"
 	"sx4bench/internal/sx4/iop"
 	"sx4bench/internal/target"
@@ -362,9 +361,6 @@ func RADABSMFlops(m target.Target) float64 {
 
 // POPMFlops returns the single-CPU 2-degree POP rate (paper: 537).
 func POPMFlops(m target.Target) float64 { return pop.SustainedMFLOPS(m) }
-
-// Prodload runs the production-mix benchmark (paper: 93 m 28 s).
-func Prodload(m target.Target) prodload.Result { return prodload.Run(m) }
 
 // CorrectnessReport runs PARANOIA and ELEFUNT on the host arithmetic.
 type CorrectnessResult struct {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sx4bench/internal/prodload"
 	"sx4bench/internal/sx4"
 )
 
@@ -216,7 +217,7 @@ func TestIOCategory(t *testing.T) {
 }
 
 func TestProdloadAnchor(t *testing.T) {
-	r := Prodload(bench())
+	r := prodload.Run(bench())
 	paper := 93*60 + 28.0
 	if r.TotalSeconds < 0.8*paper || r.TotalSeconds > 1.2*paper {
 		t.Errorf("PRODLOAD = %.1f min, paper 93.47 min", r.TotalMinutes())

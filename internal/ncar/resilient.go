@@ -5,13 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"sx4bench/internal/ccm2"
 	"sx4bench/internal/fault"
-	"sx4bench/internal/fftpack"
-	"sx4bench/internal/kernels"
-	"sx4bench/internal/mom"
-	"sx4bench/internal/pop"
-	"sx4bench/internal/prodload"
 	"sx4bench/internal/target"
 )
 
@@ -73,7 +67,7 @@ type ResilientResult struct {
 // benchmark's own start (t = 0), so per-benchmark timelines are
 // independent and a multi-benchmark sweep stays deterministic.
 func RunResilient(w io.Writer, m target.Target, name string, cpus int, opts ResilientOpts) (ResilientResult, error) {
-	dm, res, err := runAttempts(m, name, cpus, opts)
+	dm, _, res, err := runAttempts(m, name, cpus, opts)
 	if err != nil {
 		return res, err
 	}
@@ -86,14 +80,21 @@ func RunResilient(w io.Writer, m target.Target, name string, cpus int, opts Resi
 }
 
 // runAttempts drives the retry loop shared by RunResilient and
-// MeasureResilient: it returns the degraded machine of the attempt
-// that survived the schedule alongside the attempt accounting, leaving
-// what to do with that machine (render text, measure structurally) to
-// the caller.
-func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (target.Target, ResilientResult, error) {
+// MeasureResilient. Each attempt evaluates the member once on the
+// machine as degraded by the faults so far, and that evaluation's
+// Seconds is the attempt's duration. It returns the surviving attempt's
+// degraded machine and measurement alongside the attempt accounting,
+// leaving what to do with them (render text, report the measurement)
+// to the caller.
+func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (target.Target, Measurement, ResilientResult, error) {
+	if m == nil {
+		return nil, Measurement{}, ResilientResult{Benchmark: name},
+			fmt.Errorf("ncar: nil target for resilient run %q", name)
+	}
 	res := ResilientResult{Benchmark: name, Machine: m.Name()}
-	if _, err := ByName(name); err != nil {
-		return nil, res, err
+	b, err := ByName(name)
+	if err != nil {
+		return nil, Measurement{}, res, err
 	}
 	if cpus <= 0 {
 		cpus = m.Spec().CPUs
@@ -114,11 +115,11 @@ func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (ta
 		}
 		dm, err := target.Degrade(m, d)
 		if err != nil {
-			return nil, res, fmt.Errorf("ncar: %s on %s at t=%s: %w",
+			return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s at t=%s: %w",
 				name, m.Name(), secs(t), err)
 		}
-		dur := AttemptSeconds(dm, name, cpus)
-		if abortAt, aborted := firstAbort(inj, t, t+dur); aborted {
+		meas := evaluate(dm, b, cpus)
+		if abortAt, aborted := firstAbort(inj, t, t+meas.Seconds); aborted {
 			// The fault checkpoints the attempt; retry after backoff.
 			t = abortAt + backoff
 			backoff *= 2
@@ -126,21 +127,21 @@ func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (ta
 				backoff = BackoffCapSeconds
 			}
 			if opts.DeadlineSeconds > 0 && t > opts.DeadlineSeconds {
-				return nil, res, fmt.Errorf("ncar: %s on %s: aborted at t=%s, next attempt past deadline %s: %w",
+				return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s: aborted at t=%s, next attempt past deadline %s: %w",
 					name, m.Name(), secs(abortAt), secs(opts.DeadlineSeconds), ErrDeadlineExceeded)
 			}
 			continue
 		}
-		t += dur
+		t += meas.Seconds
 		if opts.DeadlineSeconds > 0 && t > opts.DeadlineSeconds {
-			return nil, res, fmt.Errorf("ncar: %s on %s: would finish at t=%s, deadline %s: %w",
+			return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s: would finish at t=%s, deadline %s: %w",
 				name, m.Name(), secs(t), secs(opts.DeadlineSeconds), ErrDeadlineExceeded)
 		}
 		res.FinishedAt = t
 		res.Degraded = d
-		return dm, res, nil
+		return dm, meas, res, nil
 	}
-	return nil, res, fmt.Errorf("ncar: %s on %s: %d attempts aborted by faults: %w",
+	return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s: %d attempts aborted by faults: %w",
 		name, m.Name(), maxAttempts, ErrRetriesExhausted)
 }
 
@@ -158,49 +159,6 @@ func firstAbort(inj fault.Injector, from, to float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// AttemptSeconds models one attempt's simulated duration: the model
-// evaluation the benchmark performs, scaled by its repetition
-// convention. Correctness and I/O members run fixed nominal durations
-// (their cost does not depend on the compute model). This is the
-// number the resilient runner schedules with and the sx4d daemon
-// reports as each member's ns/op.
-func AttemptSeconds(m target.Target, name string, cpus int) float64 {
-	opts1 := target.RunOpts{Procs: 1}
-	switch name {
-	case "PARANOIA", "ELEFUNT":
-		return 1
-	case "IO", "HIPPI", "NETWORK":
-		return 30
-	case "COPY":
-		k := last(kernels.CopySweep(1))
-		return 20 * m.RunCompiled(copyTrace(k), opts1).Seconds
-	case "IA":
-		k := last(kernels.IASweep(1))
-		return 20 * m.RunCompiled(iaTrace(k), opts1).Seconds
-	case "XPOSE":
-		k := last(kernels.XposeSweep(1))
-		return 20 * m.RunCompiled(xposeTrace(k), opts1).Seconds
-	case "RFFT":
-		const n = 1024
-		return 5 * m.RunCompiled(rfftTrace(n, fftpack.RFFTInstances(n)), opts1).Seconds
-	case "VFFT":
-		return 5 * m.RunCompiled(vfftTrace(256, 500), opts1).Seconds
-	case "RADABS":
-		// Nominal RADABS work at the machine's achieved rate.
-		return 10_000 / RADABSMFlops(m)
-	case "PRODLOAD":
-		return prodload.Run(m).TotalSeconds
-	case "CCM2":
-		t42, _ := ccm2.ResolutionByName("T42L18")
-		return ccm2.SimDays(m, t42, 1, cpus, cpus)
-	case "MOM":
-		return 15_000 / mom.SustainedMFLOPS(m)
-	case "POP":
-		return m.RunCompiled(popTrace(pop.TwoDegree), opts1).Seconds * 100
-	}
-	return 1
 }
 
 // secs renders a simulated time for error messages.

@@ -1,6 +1,7 @@
 package ncar
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -108,7 +109,10 @@ func TestRunResilientMachineDown(t *testing.T) {
 
 func TestRunResilientDegradedAttempt(t *testing.T) {
 	m := machine.SX4Benchmarked()
-	healthyDur := AttemptSeconds(m, "RADABS", 1)
+	healthy, err := Measure(context.Background(), m, "RADABS", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Bank degradations before the attempt window: no abort, but the
 	// attempt runs on the degraded machine and takes longer. (Two
 	// halvings: one still leaves the SX-4 port wide enough for RADABS.)
@@ -126,16 +130,20 @@ func TestRunResilientDegradedAttempt(t *testing.T) {
 	if res.Degraded.IsZero() {
 		t.Error("attempt did not record the degradation in force")
 	}
-	if res.FinishedAt <= healthyDur {
-		t.Errorf("degraded attempt %vs not slower than healthy %vs", res.FinishedAt, healthyDur)
+	if res.FinishedAt <= healthy.Seconds {
+		t.Errorf("degraded attempt %vs not slower than healthy %vs", res.FinishedAt, healthy.Seconds)
 	}
 }
 
-func TestAttemptSecondsCoversSuite(t *testing.T) {
+func TestMeasureSecondsCoversSuite(t *testing.T) {
 	m := machine.SX4Benchmarked()
 	for _, b := range Suite() {
-		if dur := AttemptSeconds(m, b.Name, 1); dur <= 0 {
-			t.Errorf("%s: attempt duration %v, want positive", b.Name, dur)
+		meas, err := Measure(context.Background(), m, b.Name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meas.Seconds <= 0 {
+			t.Errorf("%s: attempt duration %v, want positive", b.Name, meas.Seconds)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sx4bench/internal/ccm2"
 	"sx4bench/internal/core"
 	"sx4bench/internal/mom"
+	"sx4bench/internal/prodload"
 	"sx4bench/internal/target"
 )
 
@@ -25,17 +26,7 @@ func RunBenchmark(w io.Writer, m target.Target, name string, cpus int) error {
 	}
 	switch name {
 	case "PARANOIA", "ELEFUNT":
-		c := RunCorrectness()
-		if _, err := fmt.Fprintf(w, "PARANOIA: %s\n", c.Paranoia.Summary()); err != nil {
-			return err
-		}
-		for _, e := range c.Elefunt {
-			if _, err := fmt.Fprintf(w, "ELEFUNT %s\n", e); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, "correctness category pass: %v\n", c.Pass)
-		return err
+		return WriteCorrectness(w)
 	case "COPY", "IA", "XPOSE":
 		return core.WriteFigure(w, Fig5(m, 4))
 	case "RFFT":
@@ -49,30 +40,9 @@ func RunBenchmark(w io.Writer, m target.Target, name string, cpus int) error {
 		}
 		return core.WriteTable(w, Table3(m))
 	case "IO", "HIPPI", "NETWORK":
-		r := RunIOCategory()
-		for _, h := range r.History {
-			if _, err := fmt.Fprintf(w, "IO %s\n", h); err != nil {
-				return err
-			}
-		}
-		for _, p := range r.HIPPI {
-			if _, err := fmt.Fprintf(w, "HIPPI pkt=%dB x%d: %.1f MB/s per transfer, %.1f aggregate\n",
-				p.PacketBytes, p.Concurrent, p.PerTransferMBps, p.AggregateMBps); err != nil {
-				return err
-			}
-		}
-		for _, n := range r.Network {
-			if _, err := fmt.Fprintf(w, "NETWORK %-16s %8.3f s %8.2f MB/s\n", n.Name, n.Seconds, n.MBps); err != nil {
-				return err
-			}
-		}
-		return nil
+		return WriteIO(w, RunIOCategory())
 	case "PRODLOAD":
-		r := Prodload(m)
-		_, err := fmt.Fprintf(w,
-			"PRODLOAD: test1=%.0fs test2=%.0fs test3=%.0fs test4=%.0fs total=%.0fs (%.1f min; paper: 93 min 28 s)\n",
-			r.Test1, r.Test2, r.Test3, r.Test4, r.TotalSeconds, r.TotalMinutes())
-		return err
+		return WriteProdload(w, m)
 	case "CCM2":
 		if err := core.WriteFigure(w, Fig8(m)); err != nil {
 			return err
@@ -100,4 +70,52 @@ func RunBenchmark(w io.Writer, m target.Target, name string, cpus int) error {
 		return err
 	}
 	return fmt.Errorf("ncar: no runner for %q", name)
+}
+
+// WriteCorrectness writes the correctness category: the PARANOIA
+// summary, one line per ELEFUNT function and the category verdict.
+func WriteCorrectness(w io.Writer) error {
+	c := RunCorrectness()
+	if _, err := fmt.Fprintf(w, "PARANOIA: %s\n", c.Paranoia.Summary()); err != nil {
+		return err
+	}
+	for _, e := range c.Elefunt {
+		if _, err := fmt.Fprintf(w, "ELEFUNT %s\n", e); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "correctness category pass: %v\n", c.Pass)
+	return err
+}
+
+// WriteIO writes the I/O category's disk history, HIPPI and network
+// lines of r (not its concurrent-writer sweep).
+func WriteIO(w io.Writer, r IOCategoryResult) error {
+	for _, h := range r.History {
+		if _, err := fmt.Fprintf(w, "IO %s\n", h); err != nil {
+			return err
+		}
+	}
+	for _, p := range r.HIPPI {
+		if _, err := fmt.Fprintf(w, "HIPPI pkt=%dB x%d: %.1f MB/s per transfer, %.1f aggregate\n",
+			p.PacketBytes, p.Concurrent, p.PerTransferMBps, p.AggregateMBps); err != nil {
+			return err
+		}
+	}
+	for _, n := range r.Network {
+		if _, err := fmt.Fprintf(w, "NETWORK %-16s %8.3f s %8.2f MB/s\n", n.Name, n.Seconds, n.MBps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteProdload runs the production-mix benchmark on m and writes its
+// per-test and total times.
+func WriteProdload(w io.Writer, m target.Target) error {
+	r := prodload.Run(m)
+	_, err := fmt.Fprintf(w,
+		"PRODLOAD: test1=%.0fs test2=%.0fs test3=%.0fs test4=%.0fs total=%.0fs (%.1f min; paper: 93 min 28 s)\n",
+		r.Test1, r.Test2, r.Test3, r.Test4, r.TotalSeconds, r.TotalMinutes())
+	return err
 }

@@ -5,7 +5,6 @@ import (
 
 	"sx4bench/internal/fftpack"
 	"sx4bench/internal/kernels"
-	"sx4bench/internal/pop"
 	"sx4bench/internal/radabs"
 	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
@@ -80,12 +79,4 @@ func vfftTrace(n, m int) *prog.Compiled {
 
 func radabsTrace(ncol, nlev int) *prog.Compiled {
 	return benchTraces.Get(traceKey{"radabs", ncol, nlev}, func() prog.Program { return radabs.Trace(ncol, nlev) })
-}
-
-// popTraces is keyed by the full configuration (names alone would
-// alias hand-built configs that share one).
-var popTraces target.TraceCache[pop.Config]
-
-func popTrace(cfg pop.Config) *prog.Compiled {
-	return popTraces.Get(cfg, func() prog.Program { return pop.StepTrace(cfg) })
 }

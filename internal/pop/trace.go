@@ -105,17 +105,19 @@ func StepTrace(cfg Config) prog.Program {
 // must never reach a shared copy.
 var stepTraces target.TraceCache[Config]
 
-func compiledStepTrace(cfg Config) *prog.Compiled {
+// CompiledStepTrace returns the step trace in its cached compiled
+// form, for callers that time the same configuration repeatedly.
+func CompiledStepTrace(cfg Config) *prog.Compiled {
 	return stepTraces.Get(cfg, func() prog.Program { return StepTrace(cfg) })
 }
 
 // StepFlops returns the credited flops per step.
-func StepFlops(cfg Config) int64 { return compiledStepTrace(cfg).Flops }
+func StepFlops(cfg Config) int64 { return CompiledStepTrace(cfg).Flops }
 
 // SustainedMFLOPS returns the single-processor rate of the 2-degree
 // benchmark — the paper's 537 MFLOPS observation.
 func SustainedMFLOPS(m target.Target) float64 {
-	r := m.RunCompiled(compiledStepTrace(TwoDegree), target.RunOpts{Procs: 1})
+	r := m.RunCompiled(CompiledStepTrace(TwoDegree), target.RunOpts{Procs: 1})
 	return r.MFLOPS()
 }
 

@@ -273,9 +273,9 @@ func TestCacheServesUnderOverload(t *testing.T) {
 // one /v1/sweep execution that both must queue, free one slot — the
 // run query completes, the sweep line is still waiting.
 func TestRunOutlivesSweepUnderOverload(t *testing.T) {
-	// Cap 2 with sweep budget 1: one held sweep slot plus one held
-	// capacity slot saturate the engine.
-	s := New(Config{MaxConcurrent: 2, SweepConcurrent: 1, CapacityConcurrent: 1, Now: fakeClock()})
+	// Cap 2 derives sweep and capacity budgets of 1: one held sweep
+	// slot plus one held capacity slot saturate the engine.
+	s := New(Config{MaxConcurrent: 2, Now: fakeClock()})
 	relSweep := held(t, s.admit, classSweep, 1)
 	relCap := held(t, s.admit, classCapacity, 1)
 	sweepReleased := false

@@ -43,16 +43,6 @@ type Config struct {
 	// counted — they do no simulation work). 0 means
 	// DefaultMaxConcurrent.
 	MaxConcurrent int
-	// RunConcurrent, SweepConcurrent and CapacityConcurrent are the
-	// per-endpoint execution budgets under MaxConcurrent: how much of
-	// the engine each class of query may occupy at once. Zero values
-	// derive from MaxConcurrent — the full cap for cheap /v1/run
-	// queries, half for /v1/sweep lines, a quarter for /v1/capacity
-	// Monte Carlos — so under overload the interactive endpoint
-	// degrades last.
-	RunConcurrent      int
-	SweepConcurrent    int
-	CapacityConcurrent int
 	// QueueDepth bounds each class's admission wait queue; arrivals
 	// past it are shed immediately with 503 + Retry-After. 0 means
 	// DefaultQueueDepth.
@@ -119,22 +109,17 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RunConcurrent <= 0 {
-		cfg.RunConcurrent = cfg.MaxConcurrent
-	}
-	if cfg.SweepConcurrent <= 0 {
-		cfg.SweepConcurrent = max(1, cfg.MaxConcurrent/2)
-	}
-	if cfg.CapacityConcurrent <= 0 {
-		cfg.CapacityConcurrent = max(1, cfg.MaxConcurrent/4)
-	}
 	s := &Server{
 		cfg: cfg,
 		mux: http.NewServeMux(),
+		// Per-endpoint execution budgets under MaxConcurrent: the full
+		// cap for cheap /v1/run queries, half for /v1/sweep lines, a
+		// quarter for /v1/capacity Monte Carlos, so under overload the
+		// interactive endpoint degrades last.
 		admit: newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, [numClasses]int{
-			classRun:      cfg.RunConcurrent,
-			classSweep:    cfg.SweepConcurrent,
-			classCapacity: cfg.CapacityConcurrent,
+			classRun:      cfg.MaxConcurrent,
+			classSweep:    max(1, cfg.MaxConcurrent/2),
+			classCapacity: max(1, cfg.MaxConcurrent/4),
 		}),
 		targets: make(map[string]target.Target),
 	}

@@ -104,40 +104,13 @@ func RunExperiment(w io.Writer, m Target, id string) error {
 		_, err := fmt.Fprintf(w, "POP 2-degree (SX-4/1): %.0f MFLOPS (paper: 537)\n", ncar.POPMFlops(m))
 		return err
 	case "prodload":
-		r := ncar.Prodload(m)
-		_, err := fmt.Fprintf(w,
-			"PRODLOAD: test1=%.0fs test2=%.0fs test3=%.0fs test4=%.0fs total=%.0fs (%.1f min; paper: 93 min 28 s)\n",
-			r.Test1, r.Test2, r.Test3, r.Test4, r.TotalSeconds, r.TotalMinutes())
-		return err
+		return ncar.WriteProdload(w, m)
 	case "correctness":
-		c := ncar.RunCorrectness()
-		if _, err := fmt.Fprintf(w, "PARANOIA: %s\n", c.Paranoia.Summary()); err != nil {
-			return err
-		}
-		for _, e := range c.Elefunt {
-			if _, err := fmt.Fprintf(w, "ELEFUNT %s\n", e); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, "correctness category pass: %v\n", c.Pass)
-		return err
+		return ncar.WriteCorrectness(w)
 	case "io":
 		r := ncar.RunIOCategory()
-		for _, h := range r.History {
-			if _, err := fmt.Fprintf(w, "IO %s\n", h); err != nil {
-				return err
-			}
-		}
-		for _, p := range r.HIPPI {
-			if _, err := fmt.Fprintf(w, "HIPPI pkt=%dB x%d: %.1f MB/s per transfer, %.1f aggregate\n",
-				p.PacketBytes, p.Concurrent, p.PerTransferMBps, p.AggregateMBps); err != nil {
-				return err
-			}
-		}
-		for _, n := range r.Network {
-			if _, err := fmt.Fprintf(w, "NETWORK %-16s %8.3f s %8.2f MB/s\n", n.Name, n.Seconds, n.MBps); err != nil {
-				return err
-			}
+		if err := ncar.WriteIO(w, r); err != nil {
+			return err
 		}
 		for _, c := range r.Concurrent {
 			if _, err := fmt.Fprintf(w, "IO %2d writers: CPU-blocked %6.2f s, on disk after %6.2f s\n",
