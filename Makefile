@@ -67,8 +67,9 @@ bench:
 # run), the cold-sweep and capacity scaling smokes (1k cold scenarios
 # each, worker-count checksums cross-checked), the sx4d daemon smoke
 # (live /healthz and golden-pinned /v1/run over real HTTP), the seeded
-# chaos soak, and the cache warm-restart smoke (SIGTERM → snapshot →
-# reboot → hit).
+# chaos soak, the cache warm-restart smoke (SIGTERM → snapshot →
+# reboot → hit), and every example program (examples/operations is
+# the only caller of qcat, checkpoint and restart outside tests).
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -89,6 +90,7 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
 	$(MAKE) warm-restart-smoke
+	$(MAKE) examples
 
 # Cross-machine smoke: one line of scalar anchors per registered
 # machine, exercising the Target registry end to end.
@@ -187,9 +189,9 @@ bench-sweep-short:
 	$(GO) test -run '^$$' -bench '^BenchmarkColdSweep10k$$' -short -benchtime 1x .
 
 # Record the fleet capacity scaling baseline — the scenario-memo-cold
-# 10k-scenario Monte Carlo over the canonical fleet at 1/4/8 workers,
-# with the 1-vs-8-worker ratio pinned as capacity_parallel_speedup —
-# as BENCH_CAPACITY.json. bench-capacity-short is the CI smoke: 1k
+# 10k-scenario Monte Carlo over the canonical fleet at 1 and GOMAXPROCS
+# workers, with their ratio pinned as capacity_parallel_speedup — as
+# BENCH_CAPACITY.json. bench-capacity-short is the CI smoke: 1k
 # scenarios, one iteration, checksum cross-checked between variants.
 bench-capacity:
 	$(GO) test -run '^$$' -bench '^BenchmarkCapacityMonteCarlo$$' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_CAPACITY.json

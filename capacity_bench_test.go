@@ -1,9 +1,10 @@
 // The fleet capacity scaling benchmark: a memo-cold 10 000-scenario
 // Monte Carlo over the canonical fleet, the embarrassingly-parallel
 // workload the capacity engine's ForEachGrain fan-out exists for.
-// Sub-benchmarks sweep the worker count (1/4/8); each iteration builds
-// a fresh Engine so every scenario simulates cold — a shared memo
-// would let later variants replay earlier variants' work and fake the
+// Sub-benchmarks sweep the worker count over {1, GOMAXPROCS}, never
+// more workers than the host runs at once; each iteration builds a
+// fresh Engine so every scenario simulates cold — a shared memo would
+// let later variants replay earlier variants' work and fake the
 // scaling curve. `make bench-capacity` pins the curve in
 // BENCH_CAPACITY.json. Every variant cross-checks the report checksum:
 // parallelism must not change a single bit.
@@ -11,6 +12,7 @@ package sx4bench_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sx4bench/internal/fleet"
@@ -34,8 +36,12 @@ func BenchmarkCapacityMonteCarlo(b *testing.B) {
 		Scenarios: n,
 		Seed:      fleet.DefaultSeed,
 	}
+	sweep := []int{1}
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		sweep = append(sweep, procs)
+	}
 	var want uint64
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -36,21 +36,64 @@ type Baseline struct {
 	// RunAllSpeedup is serial ns/op divided by parallel ns/op for the
 	// BenchmarkRunAllSerial / BenchmarkRunAllParallel pair.
 	RunAllSpeedup float64 `json:"runall_parallel_speedup,omitempty"`
-	// CapacitySpeedup is serial ns/op divided by 8-worker ns/op for
-	// the BenchmarkCapacityMonteCarlo pair: how the fleet capacity
-	// Monte Carlo scales across workers on the recording host.
+	// CapacitySpeedup is the BenchmarkCapacityMonteCarlo workers=1
+	// ns/op divided by that of its largest workers=N row with N > 1:
+	// how the fleet capacity Monte Carlo scales across workers on the
+	// recording host.
 	CapacitySpeedup float64 `json:"capacity_parallel_speedup,omitempty"`
+}
+
+// speedups collects the records the derived summary fields come from,
+// so Parse and Write derive them by one rule: a ratio when both ends
+// were seen, zero otherwise, with the last record of a name winning.
+type speedups struct {
+	serial, parallel       float64 // BenchmarkRunAllSerial, BenchmarkRunAllParallel
+	capSerial, capParallel float64 // BenchmarkCapacityMonteCarlo workers=1, workers=capWorkers
+	capWorkers             int
+}
+
+// observe folds one record in.
+func (s *speedups) observe(r Result) {
+	name := strings.SplitN(r.Name, "-", 2)[0]
+	switch name {
+	case "BenchmarkRunAllSerial":
+		s.serial = r.NsPerOp
+	case "BenchmarkRunAllParallel":
+		s.parallel = r.NsPerOp
+	}
+	w, ok := strings.CutPrefix(name, "BenchmarkCapacityMonteCarlo/workers=")
+	if !ok {
+		return
+	}
+	switch n, err := strconv.Atoi(w); {
+	case err != nil:
+	case n == 1:
+		s.capSerial = r.NsPerOp
+	case n > 1 && n >= s.capWorkers:
+		s.capWorkers, s.capParallel = n, r.NsPerOp
+	}
+}
+
+func (s *speedups) runAll() float64   { return deriveSpeedup(s.serial, s.parallel) }
+func (s *speedups) capacity() float64 { return deriveSpeedup(s.capSerial, s.capParallel) }
+
+// deriveSpeedup is the summary rule: a ratio when both ends were seen,
+// zero otherwise.
+func deriveSpeedup(num, den float64) float64 {
+	if num > 0 && den > 0 {
+		return num / den
+	}
+	return 0
 }
 
 // Parse reads `go test -bench` text output and collects every
 // benchmark line, the goos/goarch/cpu header context, and the RunAll
-// serial/parallel speedup summary. Unparseable lines are skipped, as
+// and capacity speedup summaries. Unparseable lines are skipped, as
 // `go test` interleaves benchmark lines with test chatter; an input
 // with no benchmark lines at all is an error.
 func Parse(r io.Reader) (Baseline, error) {
 	var b Baseline
-	var serial, parallel float64
-	var capSerial, capParallel float64
+	var sp speedups
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -74,16 +117,7 @@ func Parse(r io.Reader) (Baseline, error) {
 			continue
 		}
 		b.Benchmarks = append(b.Benchmarks, r)
-		switch strings.SplitN(r.Name, "-", 2)[0] {
-		case "BenchmarkRunAllSerial":
-			serial = r.NsPerOp
-		case "BenchmarkRunAllParallel":
-			parallel = r.NsPerOp
-		case "BenchmarkCapacityMonteCarlo/workers=1":
-			capSerial = r.NsPerOp
-		case "BenchmarkCapacityMonteCarlo/workers=8":
-			capParallel = r.NsPerOp
-		}
+		sp.observe(r)
 	}
 	if err := sc.Err(); err != nil {
 		return b, err
@@ -91,12 +125,8 @@ func Parse(r io.Reader) (Baseline, error) {
 	if len(b.Benchmarks) == 0 {
 		return b, fmt.Errorf("no benchmark lines on stdin")
 	}
-	if serial > 0 && parallel > 0 {
-		b.RunAllSpeedup = serial / parallel
-	}
-	if capSerial > 0 && capParallel > 0 {
-		b.CapacitySpeedup = capSerial / capParallel
-	}
+	b.RunAllSpeedup = sp.runAll()
+	b.CapacitySpeedup = sp.capacity()
 	return b, nil
 }
 

@@ -70,6 +70,25 @@ BenchmarkCapacityMonteCarlo/workers=8-8   	       1	 3000000000 ns/op	 3333 scen
 	}
 }
 
+func TestParseCapacitySpeedupTwoCores(t *testing.T) {
+	// On a 2-core host the sweep is workers={1, GOMAXPROCS=2}: the
+	// largest multi-worker row is the parallel end, whatever its count.
+	in := `BenchmarkCapacityMonteCarlo/workers=1-2   	       1	 9000000000 ns/op	 1111 scenarios/s
+BenchmarkCapacityMonteCarlo/workers=2-2   	       1	 4500000000 ns/op	 2222 scenarios/s
+`
+	b, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(b.CapacitySpeedup-2.0) > 1e-12 {
+		t.Errorf("CapacitySpeedup = %v, want 2.0 (workers=1 over workers=2)", b.CapacitySpeedup)
+	}
+	var text strings.Builder
+	if err := Write(&text, b); err != nil {
+		t.Fatalf("Write rejected the speedup Parse derived: %v", err)
+	}
+}
+
 func TestParseEmptyErrors(t *testing.T) {
 	for _, in := range []string{"", "PASS\nok\n", "goos: linux\n"} {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

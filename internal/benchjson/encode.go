@@ -133,8 +133,7 @@ func Write(w io.Writer, b Baseline) error {
 			return err
 		}
 	}
-	var serial, parallel float64
-	var capSerial, capParallel float64
+	var sp speedups
 	for _, r := range b.Benchmarks {
 		if !strings.HasPrefix(r.Name, "Benchmark") {
 			return fmt.Errorf("benchjson: record %q lacks the Benchmark prefix Parse filters on", r.Name)
@@ -146,35 +145,17 @@ func Write(w io.Writer, b Baseline) error {
 		if _, err := fmt.Fprintln(w, line); err != nil {
 			return err
 		}
-		switch strings.SplitN(r.Name, "-", 2)[0] {
-		case "BenchmarkRunAllSerial":
-			serial = r.NsPerOp
-		case "BenchmarkRunAllParallel":
-			parallel = r.NsPerOp
-		case "BenchmarkCapacityMonteCarlo/workers=1":
-			capSerial = r.NsPerOp
-		case "BenchmarkCapacityMonteCarlo/workers=8":
-			capParallel = r.NsPerOp
-		}
+		sp.observe(r)
 	}
-	if derived := deriveSpeedup(serial, parallel); derived != b.RunAllSpeedup {
+	if derived := sp.runAll(); derived != b.RunAllSpeedup {
 		return fmt.Errorf("benchjson: runall_parallel_speedup %v disagrees with the records (Parse would rederive %v)",
 			b.RunAllSpeedup, derived)
 	}
-	if derived := deriveSpeedup(capSerial, capParallel); derived != b.CapacitySpeedup {
+	if derived := sp.capacity(); derived != b.CapacitySpeedup {
 		return fmt.Errorf("benchjson: capacity_parallel_speedup %v disagrees with the records (Parse would rederive %v)",
 			b.CapacitySpeedup, derived)
 	}
 	return nil
-}
-
-// deriveSpeedup mirrors Parse's summary rule: a ratio when both ends
-// were seen, zero otherwise.
-func deriveSpeedup(num, den float64) float64 {
-	if num > 0 && den > 0 {
-		return num / den
-	}
-	return 0
 }
 
 // formatValue renders a float with the shortest representation that

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"sx4bench/internal/superux"
 )
@@ -128,10 +130,10 @@ const (
 // generation order internals.
 func (m Mix) Arrivals(seed int64, horizon float64) []Arrival {
 	r := newRand(seed)
-	var out []Arrival
+	out := make([]Arrival, 0, m.expectedArrivals(horizon))
 	switch m.Pattern {
 	case PatternBurst:
-		out = m.poisson(r, horizon, m.PerHour)
+		out = m.poisson(out, r, horizon, m.PerHour)
 		for day := 0.0; day < horizon; day += DaySeconds {
 			for j := 0; j < BurstJobs; j++ {
 				at := day + BurstOffsetSeconds + float64(j)*BurstSpacing
@@ -161,19 +163,63 @@ func (m Mix) Arrivals(seed int64, horizon float64) []Arrival {
 			}
 		}
 	default:
-		out = m.poisson(r, horizon, m.PerHour)
+		out = m.poisson(out, r, horizon, m.PerHour)
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].At < out[b].At })
-	for i := range out {
-		out[i].Name = fmt.Sprintf("%s-%s-%d", m.Name, out[i].Name, i)
-	}
+	slices.SortStableFunc(out, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
+	m.label(out)
 	return out
 }
 
-// poisson emits a homogeneous Poisson process at perHour over the
-// horizon.
-func (m Mix) poisson(r *rand64, horizon, perHour float64) []Arrival {
-	var out []Arrival
+// expectedArrivals sizes a schedule's backing array: the mean Poisson
+// count over the horizon plus four standard deviations, and every
+// burst submission.
+func (m Mix) expectedArrivals(horizon float64) int {
+	n := 0.0
+	if mean := m.PerHour * horizon / 3600; mean > 0 {
+		n = mean + 4*math.Sqrt(mean)
+	}
+	if m.Pattern == PatternBurst && horizon > 0 {
+		n += BurstJobs * math.Ceil(horizon/DaySeconds)
+	}
+	return int(n)
+}
+
+// label names every arrival of a time-sorted schedule
+// "<mix>-<class>-<index>". All names slice one backing string, so the
+// labels cost two allocations per schedule, not one per job. Until
+// label runs, Name carries the job's class.
+func (m Mix) label(out []Arrival) {
+	size := 0
+	for i := range out {
+		size += labelLen(m.Name, out[i].Name, i)
+	}
+	buf := make([]byte, 0, size)
+	for i := range out {
+		buf = append(buf, m.Name...)
+		buf = append(buf, '-')
+		buf = append(buf, out[i].Name...)
+		buf = append(buf, '-')
+		buf = strconv.AppendInt(buf, int64(i), 10)
+	}
+	names := string(buf)
+	for i := range out {
+		n := labelLen(m.Name, out[i].Name, i)
+		out[i].Name, names = names[:n], names[n:]
+	}
+}
+
+// labelLen is the length of label's "<mix>-<class>-<i>" for i >= 0.
+func labelLen(mix, class string, i int) int {
+	n := len(mix) + len(class) + 3 // two dashes and i's last digit
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
+}
+
+// poisson appends a homogeneous Poisson process at perHour over the
+// horizon to out.
+func (m Mix) poisson(out []Arrival, r *rand64, horizon, perHour float64) []Arrival {
 	if perHour <= 0 {
 		return out
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"slices"
 
 	"sx4bench/internal/fault"
 	"sx4bench/internal/superux"
@@ -24,19 +25,11 @@ type Cluster struct {
 	Nodes []*Node
 
 	jobs    []jobRecord
-	byJob   map[jobKey]int // (node, local job ID) -> jobs index
 	pending []pendingMigration
-}
-
-// jobKey addresses a job record by its current placement.
-type jobKey struct {
-	node    int
-	localID int
 }
 
 // jobRecord is the cluster-level life of one arrival.
 type jobRecord struct {
-	name       string
 	submitAt   float64
 	node       int // current node index; -1 once failed fleet-wide
 	localID    int
@@ -56,7 +49,7 @@ type pendingMigration struct {
 // horizon, eventsPerNode)) and its migrator wired into the cluster.
 // eventsPerNode == 0 builds a fault-free fleet.
 func NewCluster(specs []NodeSpec, fleetSeed int64, horizon float64, eventsPerNode int) *Cluster {
-	c := &Cluster{byJob: make(map[jobKey]int)}
+	c := &Cluster{}
 	for i, ns := range specs {
 		n := &Node{Spec: ns, Sys: newNodeSystem(ns)}
 		if eventsPerNode > 0 {
@@ -72,17 +65,20 @@ func NewCluster(specs []NodeSpec, fleetSeed int64, horizon float64, eventsPerNod
 // acceptMigration is node from's migrator: accept the homeless job iff
 // some other live node can hold it, and buffer the move — placement
 // happens only after every node has advanced to the current time, so
-// migrations never outrun the completions-win-ties rule.
+// migrations never outrun the completions-win-ties rule. Migrations
+// are rare (a handful per thousand jobs), so the job's record is found
+// by a scan rather than an index kept up on every dispatch.
 func (c *Cluster) acceptMigration(from int, j superux.Job) bool {
 	if c.bestNode(j.CPUs, j.MemGB, func(*Node) float64 { return j.Seconds }, from) < 0 {
 		return false
 	}
-	rec, ok := c.byJob[jobKey{node: from, localID: j.ID}]
-	if !ok {
-		return false // not a cluster-routed job (defensive; never expected)
+	for rec := range c.jobs {
+		if c.jobs[rec].node == from && c.jobs[rec].localID == j.ID {
+			c.pending = append(c.pending, pendingMigration{record: rec, job: j})
+			return true
+		}
 	}
-	c.pending = append(c.pending, pendingMigration{record: rec, job: j})
-	return true
+	return false // not a cluster-routed job (defensive; never expected)
 }
 
 // bestNode picks the home for a job of the given shape: among live
@@ -119,18 +115,6 @@ func secondsOn(a Arrival, n *Node) float64 {
 	return a.WorkMFLOP / (n.Spec.PerCPUMFLOPS * float64(cpus))
 }
 
-// homeBlock returns the first surviving resource block (registration
-// order) on the node that admits the shape.
-func homeBlock(n *Node, cpus int, memGB float64) (string, bool) {
-	for _, name := range n.Sys.BlockNames() {
-		b := n.Sys.Blocks[name]
-		if !b.Failed && cpus <= b.MaxCPUs && memGB <= b.MemGB {
-			return name, true
-		}
-	}
-	return "", false
-}
-
 // Result is one cluster run's outcome.
 type Result struct {
 	// Jobs counts arrivals; Finished those that completed.
@@ -158,6 +142,7 @@ type Result struct {
 // nodes are always visited in fleet order, so the run is a pure
 // function of (specs, seed, arrivals).
 func (c *Cluster) Run(arrivals []Arrival) Result {
+	c.jobs = slices.Grow(c.jobs, len(arrivals))
 	next := 0
 	for {
 		t := math.Inf(1)
@@ -188,13 +173,13 @@ func (c *Cluster) Run(arrivals []Arrival) Result {
 // when no live node can hold its shape.
 func (c *Cluster) dispatch(a Arrival) {
 	rec := len(c.jobs)
-	c.jobs = append(c.jobs, jobRecord{name: a.Name, submitAt: a.At, node: -1})
+	c.jobs = append(c.jobs, jobRecord{submitAt: a.At, node: -1})
 	node := c.bestNode(a.CPUs, a.MemGB, func(n *Node) float64 { return secondsOn(a, n) }, -1)
 	if node < 0 {
 		return
 	}
 	n := c.Nodes[node]
-	block, ok := homeBlock(n, a.CPUs, a.MemGB)
+	block, ok := n.Sys.Home(a.CPUs, a.MemGB)
 	if !ok {
 		return
 	}
@@ -208,7 +193,6 @@ func (c *Cluster) dispatch(a Arrival) {
 	})
 	c.jobs[rec].node = node
 	c.jobs[rec].localID = id
-	c.byJob[jobKey{node: node, localID: id}] = rec
 }
 
 // placeMigrations resubmits every buffered migration at time t: the
@@ -228,7 +212,7 @@ func (c *Cluster) placeMigrations(t float64) {
 				continue
 			}
 			n := c.Nodes[node]
-			block, ok := homeBlock(n, p.job.CPUs, p.job.MemGB)
+			block, ok := n.Sys.Home(p.job.CPUs, p.job.MemGB)
 			if !ok {
 				rec.node = -1
 				continue
@@ -244,7 +228,6 @@ func (c *Cluster) placeMigrations(t float64) {
 			rec.node = node
 			rec.localID = id
 			rec.migrations++
-			c.byJob[jobKey{node: node, localID: id}] = p.record
 		}
 	}
 }

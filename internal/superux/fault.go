@@ -1,7 +1,6 @@
 package superux
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -63,23 +62,23 @@ func (s *System) deliverFault(e fault.Event) {
 // dropped. With no surviving block the event is a no-op (the machine
 // is already gone).
 func (s *System) failBlock(unit int) {
-	var surviving []string
-	for _, name := range s.order {
-		if !s.Blocks[name].Failed {
-			surviving = append(surviving, name)
+	var surviving []*ResourceBlock
+	for _, b := range s.blocks {
+		if !b.Failed {
+			surviving = append(surviving, b)
 		}
 	}
 	if len(surviving) == 0 {
 		return
 	}
 	victim := surviving[unit%len(surviving)]
-	s.Blocks[victim].Failed = true
+	victim.Failed = true
 
 	// Checkpoint the block's running jobs (ascending ID for
 	// determinism), freeing their resources.
 	var running []int
 	for _, id := range s.active {
-		if s.Jobs[id].Block == victim {
+		if s.Jobs[id].Block == victim.Name {
 			running = append(running, id)
 		}
 	}
@@ -91,12 +90,12 @@ func (s *System) failBlock(unit int) {
 	// checkpointed ones are among them now).
 	for _, id := range append([]int(nil), s.queue...) {
 		j := s.Jobs[id]
-		if j.Block != victim {
+		if j.Block != victim.Name {
 			continue
 		}
-		if home, ok := s.survivingHome(j); ok {
+		if home, ok := s.Home(j.CPUs, j.MemGB); ok {
 			j.Block = home
-			j.Output += fmt.Sprintf("job %d (%s) moved to block %s at %.2f\n", j.ID, j.Name, home, s.Clock)
+			s.log = append(s.log, logEntry{Job: id, Kind: logMoved, Clock: s.Clock, Block: home})
 		} else {
 			s.failJob(j)
 		}
@@ -140,21 +139,10 @@ func (s *System) checkpointJob(id int) {
 	j.State = Queued
 	j.Seconds = remaining + RestartOverheadSeconds
 	j.Restarts++
-	j.Output += fmt.Sprintf("job %d (%s) checkpointed at %.2f (%.2fs remaining)\n",
-		j.ID, j.Name, s.Clock, remaining)
+	s.log = append(s.log,
+		logEntry{Job: id, Kind: logStarted, Clock: j.StartAt},
+		logEntry{Job: id, Kind: logCheckpointed, Clock: s.Clock, Remaining: remaining})
 	s.queue = append(s.queue, id)
-}
-
-// survivingHome returns the first non-failed block (registration
-// order) whose limits can hold the job.
-func (s *System) survivingHome(j *Job) (string, bool) {
-	for _, name := range s.order {
-		b := s.Blocks[name]
-		if !b.Failed && j.CPUs <= b.MaxCPUs && j.MemGB <= b.MemGB {
-			return name, true
-		}
-	}
-	return "", false
 }
 
 // failJob handles a job no surviving resource block on this node can
@@ -162,8 +150,8 @@ func (s *System) survivingHome(j *Job) (string, bool) {
 // acceptance makes the job Migrated, terminal here, continued
 // elsewhere by the fleet layer — and otherwise the job is reported
 // Failed. Both outcomes remove it from the queue but keep it in Jobs
-// with its state and output intact, so no submission is ever silently
-// dropped.
+// with its state and qcat history intact, so no submission is ever
+// silently dropped.
 func (s *System) failJob(j *Job) {
 	for i, id := range s.queue {
 		if id == j.ID {
@@ -174,14 +162,12 @@ func (s *System) failJob(j *Job) {
 	if s.migrator != nil && s.migrator(*j) {
 		j.State = Migrated
 		j.FinishAt = s.Clock
-		j.Output += fmt.Sprintf("job %d (%s) migrated off node at %.2f: no surviving resource block here\n",
-			j.ID, j.Name, s.Clock)
+		s.log = append(s.log, logEntry{Job: j.ID, Kind: logMigrated, Clock: s.Clock})
 		return
 	}
 	j.State = Failed
 	j.FinishAt = s.Clock
-	j.Output += fmt.Sprintf("job %d (%s) failed at %.2f: no surviving resource block\n",
-		j.ID, j.Name, s.Clock)
+	s.log = append(s.log, logEntry{Job: j.ID, Kind: logFailed, Clock: s.Clock})
 }
 
 // AdvanceUntil runs the event loop up to simulated time t: completions

@@ -248,6 +248,15 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 		{"queued ghost job", func(s *snapshot) { s.Queue = []int{99} }, "does not exist"},
 		{"active ghost job", func(s *snapshot) { s.Active = []int{42} }, "does not exist"},
 		{"order names ghost block", func(s *snapshot) { s.Order = []string{"ghost"} }, "undefined block"},
+		{"block stored under another name", func(s *snapshot) {
+			s.Blocks["b"] = ResourceBlock{Name: "x", MaxCPUs: 4, MemGB: 32}
+		}, "stored under name"},
+		{"log names ghost job", func(s *snapshot) {
+			s.Log = []logEntry{{Job: 7, Kind: logFailed, Clock: 3}}
+		}, "does not exist"},
+		{"log entry of unknown kind", func(s *snapshot) {
+			s.Log = []logEntry{{Job: 1, Kind: logFailed + 1, Clock: 3}}
+		}, "unknown kind"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := base()

@@ -41,26 +41,34 @@ func (s *System) NextEventAt() (float64, bool) {
 // stops routing work to it, and jobs still aboard can only migrate or
 // fail.
 func (s *System) Down() bool {
-	for _, name := range s.order {
-		if !s.Blocks[name].Failed {
+	for _, b := range s.blocks {
+		if !b.Failed {
 			return false
 		}
 	}
 	return true
 }
 
-// CanHold reports whether some surviving resource block's limits admit
-// a job of the given shape. It is a capacity-class check (like
-// survivingHome), not an instantaneous-load check: a true answer means
-// the job can eventually run here, possibly after queueing.
-func (s *System) CanHold(cpus int, memGB float64) bool {
-	for _, name := range s.order {
-		b := s.Blocks[name]
+// Home returns the first surviving resource block (registration
+// order) whose limits admit a job of the given shape — where a fault
+// recovery rebinds a homeless job, and where the fleet dispatcher
+// submits. Like CanHold it is a capacity-class check, not an
+// instantaneous-load check.
+func (s *System) Home(cpus int, memGB float64) (string, bool) {
+	for _, b := range s.blocks {
 		if !b.Failed && cpus <= b.MaxCPUs && memGB <= b.MemGB {
-			return true
+			return b.Name, true
 		}
 	}
-	return false
+	return "", false
+}
+
+// CanHold reports whether some surviving resource block's limits admit
+// a job of the given shape (see Home): a true answer means the job can
+// eventually run here, possibly after queueing.
+func (s *System) CanHold(cpus int, memGB float64) bool {
+	_, ok := s.Home(cpus, memGB)
+	return ok
 }
 
 // Backlog returns the simulated seconds of work the node still owes:
@@ -84,5 +92,9 @@ func (s *System) Backlog() float64 {
 // the deterministic iteration order for callers that must pick blocks
 // without touching the Blocks map's random order.
 func (s *System) BlockNames() []string {
-	return append([]string(nil), s.order...)
+	names := make([]string, len(s.blocks))
+	for i, b := range s.blocks {
+		names[i] = b.Name
+	}
+	return names
 }

@@ -9,9 +9,12 @@ package superux
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"sx4bench/internal/fault"
 )
@@ -100,7 +103,6 @@ type Job struct {
 	SubmitAt float64
 	StartAt  float64
 	FinishAt float64
-	Output   string // stdout produced so far (qcat reads this)
 
 	// Restarts counts checkpoint-driven recoveries: each fault that
 	// interrupts the job checkpoints it and requeues the remaining work.
@@ -125,9 +127,10 @@ type System struct {
 
 	Clock  float64
 	nextID int
-	order  []string // block names in registration order (determinism)
-	queue  []int    // queued job IDs in priority+submission order
+	blocks []*ResourceBlock // Blocks' values in registration order (determinism)
+	queue  []int            // queued job IDs in priority+submission order
 	active []int
+	log    []logEntry // qcat lines the jobs' own fields cannot reproduce
 
 	// injector is the attached fault schedule (nil = fault-free);
 	// faultsDelivered counts schedule events already applied, so a
@@ -164,7 +167,7 @@ func NewSystem(blocks ...ResourceBlock) *System {
 		}
 		rb := b
 		s.Blocks[b.Name] = &rb
-		s.order = append(s.order, b.Name)
+		s.blocks = append(s.blocks, &rb)
 	}
 	return s
 }
@@ -191,7 +194,7 @@ func (s *System) Submit(j Job) int {
 	// A submission against a block a fault already took down is
 	// rebound to a surviving block, or reported failed — not dropped.
 	if blk.Failed {
-		if home, ok := s.survivingHome(&j); ok {
+		if home, ok := s.Home(j.CPUs, j.MemGB); ok {
 			j.Block = home
 		} else {
 			s.failJob(&j)
@@ -204,12 +207,12 @@ func (s *System) Submit(j Job) int {
 }
 
 func (s *System) sortQueue() {
-	sort.SliceStable(s.queue, func(a, b int) bool {
-		ja, jb := s.Jobs[s.queue[a]], s.Jobs[s.queue[b]]
-		if ja.Priority != jb.Priority {
-			return ja.Priority > jb.Priority
+	slices.SortStableFunc(s.queue, func(a, b int) int {
+		ja, jb := s.Jobs[a], s.Jobs[b]
+		if c := cmp.Compare(jb.Priority, ja.Priority); c != 0 {
+			return c
 		}
-		return ja.ID < jb.ID
+		return cmp.Compare(ja.ID, jb.ID)
 	})
 }
 
@@ -281,12 +284,9 @@ func (s *System) dispatch() {
 		j.State = Running
 		j.StartAt = s.Clock
 		j.FinishAt = s.Clock + j.Seconds
-		// Append, not assign: a job restarted from a checkpoint keeps
-		// the output it produced before the fault.
-		j.Output += fmt.Sprintf("job %d (%s) started at %.2f\n", j.ID, j.Name, j.StartAt)
 		s.active = append(s.active, id)
 	}
-	s.queue = append([]int(nil), remaining...)
+	s.queue = remaining
 }
 
 // Advance runs the event loop until no job is running or queued,
@@ -325,7 +325,6 @@ func (s *System) complete(next int) {
 	j := s.Jobs[next]
 	s.Clock = j.FinishAt
 	j.State = Done
-	j.Output += fmt.Sprintf("job %d (%s) finished at %.2f\n", j.ID, j.Name, j.FinishAt)
 	blk := s.Blocks[j.Block]
 	blk.usedCPUs -= j.CPUs
 	blk.usedMem -= j.MemGB
@@ -341,12 +340,64 @@ func (s *System) complete(next int) {
 
 // QCat returns the stdout produced so far by a job — the SUPER-UX NQS
 // qcat command, which can inspect an executing batch script's output.
+// The text is rendered on demand: first the job's logged lines (runs a
+// checkpoint cut short, checkpoints, moves, migration or failure),
+// then its current run's start and finish from its own fields.
 func (s *System) QCat(id int) (string, error) {
 	j, ok := s.Jobs[id]
 	if !ok {
 		return "", fmt.Errorf("superux: no job %d", id)
 	}
-	return j.Output, nil
+	var b strings.Builder
+	for _, e := range s.log {
+		if e.Job == id {
+			e.render(&b, j)
+		}
+	}
+	if j.State == Running || j.State == Done {
+		logEntry{Job: id, Kind: logStarted, Clock: j.StartAt}.render(&b, j)
+	}
+	if j.State == Done {
+		fmt.Fprintf(&b, "job %d (%s) finished at %.2f\n", j.ID, j.Name, j.FinishAt)
+	}
+	return b.String(), nil
+}
+
+// logKind is the kind of one logged qcat line.
+type logKind uint8
+
+const (
+	logStarted logKind = iota // a run's start; logged only for runs a checkpoint cut short
+	logCheckpointed
+	logMoved
+	logMigrated
+	logFailed
+)
+
+// logEntry is one qcat line in structured form, rendered only when
+// QCat asks. Block is set for logMoved, Remaining for logCheckpointed.
+type logEntry struct {
+	Job       int
+	Kind      logKind
+	Clock     float64
+	Block     string
+	Remaining float64
+}
+
+// render appends the entry's qcat line for job j.
+func (e logEntry) render(b *strings.Builder, j *Job) {
+	switch e.Kind {
+	case logStarted:
+		fmt.Fprintf(b, "job %d (%s) started at %.2f\n", j.ID, j.Name, e.Clock)
+	case logCheckpointed:
+		fmt.Fprintf(b, "job %d (%s) checkpointed at %.2f (%.2fs remaining)\n", j.ID, j.Name, e.Clock, e.Remaining)
+	case logMoved:
+		fmt.Fprintf(b, "job %d (%s) moved to block %s at %.2f\n", j.ID, j.Name, e.Block, e.Clock)
+	case logMigrated:
+		fmt.Fprintf(b, "job %d (%s) migrated off node at %.2f: no surviving resource block here\n", j.ID, j.Name, e.Clock)
+	case logFailed:
+		fmt.Fprintf(b, "job %d (%s) failed at %.2f: no surviving resource block\n", j.ID, j.Name, e.Clock)
+	}
 }
 
 // Status returns a job's state.
@@ -384,6 +435,7 @@ type snapshot struct {
 	Order           []string
 	Queue           []int
 	Active          []int
+	Log             []logEntry
 	FaultsDelivered int
 }
 
@@ -396,9 +448,10 @@ func (s *System) Checkpoint() ([]byte, error) {
 		Jobs:            map[int]Job{},
 		Clock:           s.Clock,
 		NextID:          s.nextID,
-		Order:           append([]string(nil), s.order...),
+		Order:           s.BlockNames(),
 		Queue:           append([]int(nil), s.queue...),
 		Active:          append([]int(nil), s.active...),
+		Log:             append([]logEntry(nil), s.log...),
 		FaultsDelivered: s.faultsDelivered,
 	}
 	for name, c := range s.Complexes {
@@ -421,10 +474,12 @@ func (s *System) Checkpoint() ([]byte, error) {
 }
 
 // Restart reconstructs a system from a checkpoint. A corrupt snapshot
-// — negative clock, unknown job state, a job referencing an undefined
-// resource block, or a queue/active entry naming a missing job — is
-// rejected rather than round-tripped silently. The fault schedule is
-// not part of the checkpoint; re-attach it with SetInjector.
+// — negative clock, unknown job state, a block stored under another
+// block's name, a job referencing an undefined resource block, a
+// queue/active/log entry naming a missing job, or a log entry of
+// unknown kind — is rejected rather than round-tripped silently. The
+// fault schedule is not part of the checkpoint; re-attach it with
+// SetInjector.
 func Restart(data []byte) (*System, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -439,9 +494,9 @@ func Restart(data []byte) (*System, error) {
 		Jobs:            map[int]*Job{},
 		Clock:           snap.Clock,
 		nextID:          snap.NextID,
-		order:           snap.Order,
 		queue:           snap.Queue,
 		active:          snap.Active,
+		log:             snap.Log,
 		faultsDelivered: snap.FaultsDelivered,
 	}
 	for name, c := range snap.Complexes {
@@ -457,12 +512,16 @@ func Restart(data []byte) (*System, error) {
 	}
 	// Older checkpoints carry no registration order; fall back to the
 	// lexical order so restarted systems stay deterministic.
-	if len(s.order) != len(s.Blocks) {
-		s.order = s.order[:0]
+	order := snap.Order
+	if len(order) != len(s.Blocks) {
+		order = order[:0]
 		for name := range s.Blocks {
-			s.order = append(s.order, name)
+			order = append(order, name)
 		}
-		sort.Strings(s.order)
+		sort.Strings(order)
+	}
+	for _, name := range order {
+		s.blocks = append(s.blocks, s.Blocks[name])
 	}
 	// Recompute block usage from running jobs (usage fields are
 	// unexported and not serialized).
@@ -488,6 +547,11 @@ func (snap *snapshot) validate() error {
 	case snap.FaultsDelivered < 0:
 		return fmt.Errorf("negative delivered-fault count %d", snap.FaultsDelivered)
 	}
+	for name, b := range snap.Blocks {
+		if b.Name != name {
+			return fmt.Errorf("block %q is stored under name %q", b.Name, name)
+		}
+	}
 	for id, j := range snap.Jobs {
 		if j.State < Queued || j.State > Migrated {
 			return fmt.Errorf("job %d has unknown state %d", id, int(j.State))
@@ -504,6 +568,14 @@ func (snap *snapshot) validate() error {
 	for _, id := range snap.Active {
 		if _, ok := snap.Jobs[id]; !ok {
 			return fmt.Errorf("active job %d does not exist", id)
+		}
+	}
+	for _, e := range snap.Log {
+		if _, ok := snap.Jobs[e.Job]; !ok {
+			return fmt.Errorf("log entry names job %d, which does not exist", e.Job)
+		}
+		if e.Kind > logFailed {
+			return fmt.Errorf("log entry for job %d has unknown kind %d", e.Job, e.Kind)
 		}
 	}
 	for _, name := range snap.Order {
