@@ -30,13 +30,16 @@ import (
 var soakSeeds = flag.String("chaos.seeds", "1,2,3", "comma-separated chaos soak seeds")
 
 // soakQueries is the canonical traffic mix: a few distinct cheap run
-// queries (repeats become cache hits), hit from many goroutines.
-var soakQueries = []string{
-	`{"machine": "sx4-32", "benchmarks": ["COPY"]}`,
-	`{"machine": "sx4-32", "benchmarks": ["IA"]}`,
-	`{"machine": "sx4-1", "benchmarks": ["COPY"]}`,
-	`{"machine": "ymp", "benchmarks": ["XPOSE"]}`,
-	`{"machine": "sx4-32", "benchmarks": ["COPY", "IA"], "fault_seed": 3}`,
+// and capacity queries (repeats become cache hits), hit from many
+// goroutines.
+var soakQueries = []struct{ path, body string }{
+	{"/v1/run", `{"machine": "sx4-32", "benchmarks": ["COPY"]}`},
+	{"/v1/run", `{"machine": "sx4-32", "benchmarks": ["IA"]}`},
+	{"/v1/run", `{"machine": "sx4-1", "benchmarks": ["COPY"]}`},
+	{"/v1/run", `{"machine": "ymp", "benchmarks": ["XPOSE"]}`},
+	{"/v1/run", `{"machine": "sx4-32", "benchmarks": ["COPY", "IA"], "fault_seed": 3}`},
+	{"/v1/capacity", `{"fleet": "c90", "scenarios": 2, "seed": 1}`},
+	{"/v1/capacity", `{"fleet": "c90", "scenarios": 2, "seed": 2}`},
 }
 
 // TestChaosSoak floods a chaos-wrapped daemon with concurrent traffic
@@ -80,7 +83,7 @@ func soak(t *testing.T, seed int64) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				q := soakQueries[(w*perWorker+i)%len(soakQueries)]
-				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(q))
+				resp, err := http.Post(ts.URL+q.path, "application/json", strings.NewReader(q.body))
 				if err != nil {
 					t.Errorf("request error (lost response): %v", err)
 					return
@@ -91,7 +94,7 @@ func soak(t *testing.T, seed int64) {
 					t.Errorf("reading response: %v", err)
 					return
 				}
-				results <- outcome{query: q, code: resp.StatusCode, body: body}
+				results <- outcome{query: q.path + " " + q.body, code: resp.StatusCode, body: body}
 			}
 		}(w)
 	}
@@ -146,7 +149,7 @@ func soak(t *testing.T, seed int64) {
 	if st.QueueDepth != 0 || st.InFlight != 0 {
 		t.Fatalf("gauges nonzero after quiescence: depth=%d inflight=%d", st.QueueDepth, st.InFlight)
 	}
-	// Every run query was classified exactly one way.
+	// Every query was classified exactly one way.
 	if st.CacheHits+st.Coalesced+st.RunsExecuted+uint64(errorCount(codes)) < uint64(n) {
 		t.Fatalf("query classifications don't cover the traffic: %+v vs %d requests", st, n)
 	}
@@ -225,7 +228,9 @@ func TestGracefulDrainUnderChaos(t *testing.T) {
 
 	var lines []string
 	for _, q := range soakQueries {
-		lines = append(lines, q)
+		if q.path == "/v1/run" {
+			lines = append(lines, q.body)
+		}
 	}
 	body := strings.Join(lines, "\n") + "\n"
 
@@ -293,7 +298,7 @@ func TestGracefulDrainUnderChaos(t *testing.T) {
 		t.Fatalf("next life failed to load drain snapshot: %v", err)
 	}
 	rr := httptest.NewRecorder()
-	next.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/run", strings.NewReader(soakQueries[0])))
+	next.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/run", strings.NewReader(soakQueries[0].body)))
 	if rr.Code != 200 || rr.Header().Get("X-Sx4d-Cache") != "hit" {
 		t.Fatalf("post-restart query: %d cache=%q, want 200 hit", rr.Code, rr.Header().Get("X-Sx4d-Cache"))
 	}

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	_ "sx4bench/internal/machine" // registry
+	"sx4bench/internal/target"
 )
 
 func TestParseSpecExpandsAndOrders(t *testing.T) {
@@ -50,6 +52,61 @@ func TestParseSpecRejections(t *testing.T) {
 	// them.
 	if _, err := ParseSpec(" SX4-32 , c90 "); err != nil {
 		t.Errorf("ParseSpec with spaces rejected: %v", err)
+	}
+}
+
+// TestParseSpecResolvesOnce pins the resolve-once node table: names
+// resolved concurrently from an empty table land once each, a rejected
+// name adds no entry, a warm parse builds no machine (15 allocations
+// when every parse looked its names up), and every entry equals the
+// spec a fresh registry lookup yields.
+func TestParseSpecResolvesOnce(t *testing.T) {
+	tableLen := func() int {
+		nodeSpecsMu.RLock()
+		defer nodeSpecsMu.RUnlock()
+		return len(nodeSpecs)
+	}
+	nodeSpecsMu.Lock()
+	clear(nodeSpecs)
+	nodeSpecsMu.Unlock()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ParseSpec("sx4-32x2,c90"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tableLen(); n != 2 {
+		t.Fatalf("table holds %d entries after resolving sx4-32 and c90, want 2", n)
+	}
+	for _, spec := range []string{"nosuchmachine", "c90,nosuchmachine", "j90x0", "j90x65", "j90xab"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", spec)
+		}
+	}
+	if n := tableLen(); n != 2 {
+		t.Fatalf("rejected specs grew the table to %d entries", n)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseSpec("sx4-32x2,c90"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("warm ParseSpec = %v allocations, want at most 4", allocs)
+	}
+	for _, name := range target.All() {
+		nodes, err := ParseSpec(strings.ToUpper(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := specOf(name, target.MustLookup(name)); nodes[0] != want {
+			t.Errorf("%s: table entry %+v, fresh lookup %+v", name, nodes[0], want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"strings"
 
@@ -18,9 +17,11 @@ import (
 // Monte Carlo of week-long scenarios — seeded arrival mixes × per-node
 // fault plans × degraded fleets — over the fleet described by the
 // specification string. Like run queries, capacity queries are
-// content-addressed: the cache key folds the resolved node
-// configurations, so two spellings of the same fleet share one cached
-// response, and a machine-model change invalidates it.
+// content-addressed: the cache key folds the canonical spelling, which
+// the response echoes, and the resolved node configurations. So only
+// case and space variants of one spelling share a cached response
+// ("c90x2" and "c90,c90" do not), and a machine-model change
+// invalidates it.
 type CapacityRequest struct {
 	// Fleet is a fleet specification: comma-separated registry names,
 	// each with an optional "xN" replication suffix ("sx4-32x2,c90").
@@ -95,10 +96,10 @@ func (r CapacityRequest) Canonical() CapacityRequest {
 }
 
 // fingerprint content-addresses the canonical request against the
-// resolved fleet: an FNV-1a fold of every node's configuration
-// fingerprint and shape plus the scenario knobs, under a tag that
-// keeps capacity keys disjoint from run-request keys in the shared
-// response cache.
+// resolved fleet: an FNV-1a fold of the canonical spelling (the
+// response echoes it), every node's configuration fingerprint and
+// shape, and the scenario knobs, under a tag that keeps capacity keys
+// disjoint from run-request keys in the shared response cache.
 func (r CapacityRequest) fingerprint(nodes []fleet.NodeSpec) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -107,6 +108,8 @@ func (r CapacityRequest) fingerprint(nodes []fleet.NodeSpec) uint64 {
 		h.Write(buf[:])
 	}
 	h.Write([]byte("sx4d-capacity\x00"))
+	h.Write([]byte(r.Fleet))
+	h.Write([]byte{0})
 	for _, n := range nodes {
 		word(n.Fingerprint)
 		word(uint64(n.CPUs))
@@ -146,73 +149,26 @@ type CapacityResponse struct {
 	Mixes    []CapacityMixSummary `json:"mixes"`
 }
 
-func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.queryContext(r.Context())
-	defer cancel()
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+// capacityQuery decodes one capacity request and resolves it into a
+// query under the capacity class — the first to queue and the first
+// to shed when the daemon saturates, because one Monte Carlo costs
+// what thousands of run queries do. The scenario-level memo
+// (s.capacity) sits below the response cache, so even a novel query
+// re-simulates only scenarios no earlier query ran.
+func (s *Server) capacityQuery(data []byte) (query, error) {
 	req, err := DecodeCapacityRequest(data)
 	if err != nil {
-		s.writeError(w, failf(http.StatusBadRequest, "%s", err))
-		return
+		return query{}, failf(http.StatusBadRequest, "%s", err)
 	}
-	body, state, err := s.answerCapacity(ctx, req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Sx4d-Cache", state)
-	w.Write(body)
-}
-
-// answerCapacity resolves, classifies and serves one capacity query
-// through the same machinery as run queries: the shared response
-// cache, the single-flight group and the admission queue — under the
-// capacity class, the first to queue and the first to shed when the
-// daemon saturates, because one Monte Carlo costs what thousands of
-// run queries do. The scenario-level memo (s.capacity) sits below the
-// response cache, so even a novel query re-simulates only scenarios no
-// earlier query ran.
-func (s *Server) answerCapacity(ctx context.Context, req CapacityRequest) (body []byte, state string, err error) {
-	s.stats.capacityQueries.Add(1)
-	if ctx.Err() != nil {
-		return nil, "", unavailablef(1, "serve: query abandoned: %s", context.Cause(ctx))
-	}
+	s.stats.inc(nCapacityQueries)
 	canon := req.Canonical()
 	nodes, err := fleet.ParseSpec(canon.Fleet)
 	if err != nil {
-		return nil, "", failf(http.StatusNotFound, "%s", err)
+		return query{}, failf(http.StatusNotFound, "%s", err)
 	}
-	fp := canon.fingerprint(nodes)
-	if b, ok := s.cache.Load(fp); ok {
-		s.stats.hits.Add(1)
-		return b, "hit", nil
-	}
-	body, err, coalesced := s.flight.do(fp, func() ([]byte, error) {
-		release, err := s.admitOne(ctx, classCapacity)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		b, err := s.executeCapacity(canon, nodes, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return s.cache.LoadOrStore(fp, func() []byte { return b }), nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	if coalesced {
-		s.stats.coalesced.Add(1)
-		return body, "coalesced", nil
-	}
-	s.stats.executed.Add(1)
-	return body, "miss", nil
+	return query{classCapacity, canon.fingerprint(nodes), func(context.Context) ([]byte, error) {
+		return s.executeCapacity(canon, nodes, req.Workers)
+	}}, nil
 }
 
 // executeCapacity runs the canonical query's Monte Carlo and renders
@@ -229,7 +185,7 @@ func (s *Server) executeCapacity(canon CapacityRequest, nodes []fleet.NodeSpec, 
 	if err != nil {
 		return nil, failf(http.StatusUnprocessableEntity, "%s", err)
 	}
-	s.stats.capacityJobs.Add(uint64(rep.Jobs))
+	s.stats.n[nCapacityJobs].Add(uint64(rep.Jobs))
 	resp := CapacityResponse{
 		Fleet:     canon.Fleet,
 		Nodes:     len(nodes),

@@ -41,8 +41,8 @@ func TestCapacityEndpointDeterminismAndCache(t *testing.T) {
 	}
 
 	// The acceptance bar: a repeat query answers X-Sx4d-Cache: hit with
-	// a byte-identical body — workers and spec spelling included, since
-	// neither reaches the cache key.
+	// a byte-identical body — workers and the spec's case and spacing
+	// included, since neither reaches the cache key.
 	for _, body := range []string{
 		capacityBody,
 		`{"fleet":" SX4-32 , c90 ","scenarios":6,"seed":7,"workers":8}`,
@@ -81,10 +81,33 @@ func TestCapacityScenarioMemoSpansQueries(t *testing.T) {
 	}
 }
 
+// TestCapacityResponseIgnoresQueryHistory pins that a capacity answer
+// is a function of the request alone: "c90x2" and "c90,c90" resolve to
+// the same nodes but echo different spellings, so neither may be
+// served the other's cached bytes.
+func TestCapacityResponseIgnoresQueryHistory(t *testing.T) {
+	const q = `{"fleet":"c90x2","scenarios":2,"seed":5}`
+	fresh := post(t, New(Config{}), "/v1/capacity", q)
+	s := New(Config{})
+	post(t, s, "/v1/capacity", `{"fleet":"c90,c90","scenarios":2,"seed":5}`)
+	after := post(t, s, "/v1/capacity", q)
+	if fresh.Code != http.StatusOK || after.Code != http.StatusOK {
+		t.Fatalf("status %d then %d", fresh.Code, after.Code)
+	}
+	if after.Body.String() != fresh.Body.String() {
+		t.Fatalf("answer depends on query history:\nfresh daemon: %s\nafter c90,c90: %s", fresh.Body, after.Body)
+	}
+}
+
 func TestCapacityStatsCounters(t *testing.T) {
 	s := New(Config{})
 	post(t, s, "/v1/capacity", capacityBody)
 	post(t, s, "/v1/capacity", capacityBody)
+	// Run and sweep queries share the hit/coalesced/executed counters.
+	post(t, s, "/v1/run", `{"machine":"sparc20","benchmarks":["COPY"]}`)
+	post(t, s, "/v1/sweep", `{"machine":"sparc20","benchmarks":["COPY"]}
+{"machine":"sparc20","benchmarks":["IA"]}
+`)
 
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/stats", nil))
@@ -106,6 +129,11 @@ func TestCapacityStatsCounters(t *testing.T) {
 	}
 	if st.CacheHits == 0 {
 		t.Error("the repeat capacity query did not register a response-cache hit")
+	}
+	// No query failed, so every resolved query of either kind was
+	// classified exactly once.
+	if got, want := st.CacheHits+st.Coalesced+st.RunsExecuted, st.RunQueries+st.CapacityQueries; got != want || want != 5 {
+		t.Errorf("hits+coalesced+executed = %d, run+capacity queries = %d, want both 5", got, want)
 	}
 }
 

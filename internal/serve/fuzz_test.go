@@ -22,7 +22,7 @@ import (
 // parse error never yields a partial snapshot.
 func FuzzCacheSnapshotLoad(f *testing.F) {
 	valid := (&Snapshot{
-		Counters: StatCounters{Requests: 7, RunQueries: 3, CacheHits: 2},
+		Counters: StatCounters{nRequests: 7, nRunQueries: 3, nCacheHits: 2},
 		Memo:     []MemoStat{{Target: "sx4-32", Hits: 41, Misses: 5}},
 		Entries:  map[uint64][]byte{0xdeadbeefcafef00d: []byte("{\"ok\":true}\n")},
 	}).Render()

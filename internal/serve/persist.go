@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"io/fs"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,9 +27,9 @@ import (
 //	entry <fp:16-hex> <base64-body>  # one response-cache entry
 //	checksum <fnv64a:16-hex>         # over every preceding byte
 //
-// in exactly that section order, every section sorted (counters by
-// table order, memo by target name, entries by fingerprint), so the
-// same daemon state always renders the same bytes — the chaos soak
+// in exactly that section order, every section sorted (counters in
+// counterNames order, memo by target name, entries by fingerprint), so
+// the same daemon state always renders the same bytes — the chaos soak
 // asserts snapshot determinism by comparing renders. The checksum line
 // is last and mandatory; a loader rejects the whole file on any
 // deviation — a half-written or bit-flipped snapshot must never seed a
@@ -51,32 +52,6 @@ type Snapshot struct {
 type MemoStat struct {
 	Target       string
 	Hits, Misses uint64
-}
-
-// counterFields names every persisted counter, in file order. The
-// loader is strict: an unknown counter name is corruption, not
-// forward compatibility — format changes bump the version header.
-var counterFields = []struct {
-	name string
-	get  func(*StatCounters) *uint64
-}{
-	{"requests", func(c *StatCounters) *uint64 { return &c.Requests }},
-	{"run_queries", func(c *StatCounters) *uint64 { return &c.RunQueries }},
-	{"sweep_lines", func(c *StatCounters) *uint64 { return &c.SweepLines }},
-	{"cache_hits", func(c *StatCounters) *uint64 { return &c.CacheHits }},
-	{"coalesced", func(c *StatCounters) *uint64 { return &c.Coalesced }},
-	{"runs_executed", func(c *StatCounters) *uint64 { return &c.RunsExecuted }},
-	{"errors", func(c *StatCounters) *uint64 { return &c.Errors }},
-	{"admit_requests", func(c *StatCounters) *uint64 { return &c.AdmitRequests }},
-	{"admitted", func(c *StatCounters) *uint64 { return &c.Admitted }},
-	{"shed", func(c *StatCounters) *uint64 { return &c.Shed }},
-	{"queue_timeouts", func(c *StatCounters) *uint64 { return &c.QueueTimeouts }},
-	{"queue_cancelled", func(c *StatCounters) *uint64 { return &c.QueueCancelled }},
-	{"completed", func(c *StatCounters) *uint64 { return &c.Completed }},
-	{"exec_cancelled", func(c *StatCounters) *uint64 { return &c.ExecCancelled }},
-	{"sweep_aborts", func(c *StatCounters) *uint64 { return &c.SweepAborts }},
-	{"capacity_queries", func(c *StatCounters) *uint64 { return &c.CapacityQueries }},
-	{"capacity_jobs", func(c *StatCounters) *uint64 { return &c.CapacityJobs }},
 }
 
 // Snapshot captures the daemon's survivable state: safe to call while
@@ -128,9 +103,8 @@ func (sn *Snapshot) Render() []byte {
 	var b bytes.Buffer
 	b.WriteString(snapshotHeader)
 	b.WriteByte('\n')
-	c := sn.Counters
-	for _, f := range counterFields {
-		fmt.Fprintf(&b, "counter %s %d\n", f.name, *f.get(&c))
+	for i, name := range counterNames {
+		fmt.Fprintf(&b, "counter %s %d\n", name, sn.Counters[i])
 	}
 	for _, m := range mergeMemo(sn.Memo) {
 		fmt.Fprintf(&b, "memo %s %d %d\n", m.Target, m.Hits, m.Misses)
@@ -184,11 +158,7 @@ func ParseSnapshot(data []byte) (*Snapshot, error) {
 	if !sc.Scan() || sc.Text() != snapshotHeader {
 		return fail("bad header (want %q)", snapshotHeader)
 	}
-	counters := make(map[string]*uint64, len(counterFields))
-	for _, f := range counterFields {
-		counters[f.name] = f.get(&sn.Counters)
-	}
-	seenCounter := make(map[string]bool)
+	var seenCounter [numCounters]bool
 	seenMemo := make(map[string]bool)
 	// Sections must appear in order; section tracks the furthest seen.
 	section := 0
@@ -215,19 +185,19 @@ func ParseSnapshot(data []byte) (*Snapshot, error) {
 			if len(fields) != 3 {
 				return fail("malformed counter line %q", sc.Text())
 			}
-			dst, ok := counters[fields[1]]
-			if !ok {
+			i := slices.Index(counterNames[:], fields[1])
+			if i < 0 {
 				return fail("unknown counter %q", fields[1])
 			}
-			if seenCounter[fields[1]] {
+			if seenCounter[i] {
 				return fail("duplicate counter %q", fields[1])
 			}
-			seenCounter[fields[1]] = true
+			seenCounter[i] = true
 			v, err := strconv.ParseUint(fields[2], 10, 64)
 			if err != nil {
 				return fail("counter %s: %v", fields[1], err)
 			}
-			*dst = v
+			sn.Counters[i] = v
 		case "memo":
 			if len(fields) != 4 || fields[1] == "" {
 				return fail("malformed memo line %q", sc.Text())

@@ -87,6 +87,56 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// snapshotV1 is a snapshot file in the v1 format with every counter
+// set to its position in the file.
+const snapshotV1 = `sx4d-snapshot v1
+counter requests 1
+counter run_queries 2
+counter sweep_lines 3
+counter cache_hits 4
+counter coalesced 5
+counter runs_executed 6
+counter errors 7
+counter admit_requests 8
+counter admitted 9
+counter shed 10
+counter queue_timeouts 11
+counter queue_cancelled 12
+counter completed 13
+counter exec_cancelled 14
+counter sweep_aborts 15
+counter capacity_queries 16
+counter capacity_jobs 17
+memo sx4-32 41 5
+entry deadbeefcafef00d eyJvayI6dHJ1ZX0K
+checksum 70f0cd4991357e78
+`
+
+// TestSnapshotV1Text pins the file format's counter names and order:
+// a v1 file loads, re-renders byte-identically, and every counter
+// resumes on its own /v1/stats field.
+func TestSnapshotV1Text(t *testing.T) {
+	sn, err := ParseSnapshot([]byte(snapshotV1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(sn.Render()); got != snapshotV1 {
+		t.Fatalf("v1 snapshot re-renders as\n%s", got)
+	}
+	s := New(Config{})
+	s.stats.restore(sn.Counters)
+	st := s.stats.snapshot()
+	got := []uint64{st.Requests, st.RunQueries, st.SweepLines, st.CacheHits, st.Coalesced,
+		st.RunsExecuted, st.Errors, st.AdmitRequests, st.Admitted, st.Shed, st.QueueTimeouts,
+		st.QueueCancelled, st.Completed, st.ExecCancelled, st.SweepAborts, st.CapacityQueries,
+		st.CapacityJobs}
+	for i, v := range got {
+		if v != uint64(i+1) {
+			t.Errorf("counter %s resumed on /v1/stats as %d, want %d", counterNames[i], v, i+1)
+		}
+	}
+}
+
 // TestSnapshotRejectsCorruption drives the all-or-nothing loader: any
 // damage — truncation, bit flips, reordered sections, duplicate or
 // alien lines — rejects the whole file.

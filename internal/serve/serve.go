@@ -126,9 +126,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.instrument(s.handleHealthz))
 	s.mux.HandleFunc("GET /v1/machines", s.instrument(s.handleMachines))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument(s.handleStats))
-	s.mux.HandleFunc("POST /v1/run", s.instrument(s.handleRun))
+	s.mux.HandleFunc("POST /v1/run", s.instrument(s.handleQuery(func(data []byte) (query, error) {
+		return s.runQuery(data, classRun)
+	})))
 	s.mux.HandleFunc("POST /v1/sweep", s.instrument(s.handleSweep))
-	s.mux.HandleFunc("POST /v1/capacity", s.instrument(s.handleCapacity))
+	s.mux.HandleFunc("POST /v1/capacity", s.instrument(s.handleQuery(s.capacityQuery)))
 	return s
 }
 
@@ -149,18 +151,19 @@ func (s *Server) now() time.Time {
 // latency clock.
 func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.requests.Add(1)
+		s.stats.inc(nRequests)
 		start := s.now()
 		h(w, r)
 		s.stats.latencyUS.Add(s.now().Sub(start).Microseconds())
 	}
 }
 
-// httpError is an error with a wire status. answer and the handlers
-// pass these up; anything else renders as 500. retryAfter, when
-// nonzero, becomes a Retry-After header — every 503 carries one, so a
-// well-behaved client (internal/client) backs off instead of retrying
-// hot. admitOutcome classifies admission failures for the counters.
+// httpError is an error with a wire status. The query pipeline and the
+// handlers pass these up; anything else renders as 500. retryAfter,
+// when nonzero, becomes a Retry-After header — every 503 carries one,
+// so a well-behaved client (internal/client) backs off instead of
+// retrying hot. admitOutcome classifies admission failures for the
+// counters.
 type httpError struct {
 	code         int
 	err          error
@@ -186,7 +189,7 @@ func unavailablef(retryAfter int, format string, args ...any) *httpError {
 // writeError renders an error as the {"error": ...} JSON shape with
 // its wire status, counting it.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	s.stats.errors.Add(1)
+	s.stats.inc(nErrors)
 	code := http.StatusInternalServerError
 	var he *httpError
 	if errors.As(err, &he) {
@@ -201,8 +204,14 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	w.Write(errorLine(err))
+}
+
+// errorLine renders err as one {"error": ...} JSON line: the body of
+// every failed request and every failed sweep line.
+func errorLine(err error) []byte {
 	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	w.Write(append(body, '\n'))
+	return append(body, '\n')
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -285,27 +294,31 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Write(append(body, '\n'))
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.queryContext(r.Context())
-	defer cancel()
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, err)
-		return
+// handleQuery is the POST path /v1/run and /v1/capacity share: read
+// the bounded body, resolve it into a query, serve it, and write the
+// answer with its cache state.
+func (s *Server) handleQuery(resolve func([]byte) (query, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := s.queryContext(r.Context())
+		defer cancel()
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		var q query
+		if err == nil {
+			q, err = resolve(data)
+		}
+		var body []byte
+		var state string
+		if err == nil {
+			body, state, err = s.serve(ctx, q)
+		}
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Sx4d-Cache", state)
+		w.Write(body)
 	}
-	req, err := DecodeRunRequest(data)
-	if err != nil {
-		s.writeError(w, failf(http.StatusBadRequest, "%s", err))
-		return
-	}
-	body, state, err := s.answer(ctx, req, classRun)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Sx4d-Cache", state)
-	w.Write(body)
 }
 
 // handleSweep consumes NDJSON run requests and streams one NDJSON
@@ -325,23 +338,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// producing: the request context dies with the connection, and
 		// every remaining line would be simulation work nobody reads.
 		if ctx.Err() != nil {
-			s.stats.sweepAborts.Add(1)
+			s.stats.inc(nSweepAborts)
 			return
 		}
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		s.stats.sweepLines.Add(1)
+		s.stats.inc(nSweepLines)
 		var out []byte
-		req, err := DecodeRunRequest(line)
+		q, err := s.runQuery(line, classSweep)
 		if err == nil {
-			out, _, err = s.answer(ctx, req, classSweep)
+			out, _, err = s.serve(ctx, q)
 		}
 		if err != nil {
-			s.stats.errors.Add(1)
-			out, _ = json.Marshal(map[string]string{"error": err.Error()})
-			out = append(out, '\n')
+			s.stats.inc(nErrors)
+			out = errorLine(err)
 		}
 		w.Write(out)
 		if flusher != nil {
@@ -351,9 +363,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err := sc.Err(); err != nil {
 		// Too late for a status change if lines already streamed; emit
 		// the failure as a final NDJSON error line instead.
-		s.stats.errors.Add(1)
-		out, _ := json.Marshal(map[string]string{"error": err.Error()})
-		w.Write(append(out, '\n'))
+		s.stats.inc(nErrors)
+		w.Write(errorLine(err))
 	}
 }
 
@@ -403,7 +414,7 @@ type RunResponse struct {
 // so admitted == completed + the in-flight gauge at every instant and
 // the chaos soak can assert the books balance.
 func (s *Server) admitOne(ctx context.Context, c admitClass) (release func(), err error) {
-	s.stats.admitRequests.Add(1)
+	s.stats.inc(nAdmitRequests)
 	wctx, cancel := ctx, context.CancelFunc(func() {})
 	if s.cfg.QueueWait > 0 {
 		wctx, cancel = context.WithTimeout(ctx, s.cfg.QueueWait)
@@ -413,64 +424,92 @@ func (s *Server) admitOne(ctx context.Context, c admitClass) (release func(), er
 	if aerr != nil {
 		switch aerr.admitOutcome {
 		case outcomeShed:
-			s.stats.shed.Add(1)
+			s.stats.inc(nShed)
 		case outcomeTimeout:
-			s.stats.queueTimeouts.Add(1)
+			s.stats.inc(nQueueTimeouts)
 		default:
-			s.stats.queueCancelled.Add(1)
+			s.stats.inc(nQueueCancelled)
 		}
 		return nil, aerr
 	}
-	s.stats.admitted.Add(1)
+	s.stats.inc(nAdmitted)
 	return func() {
-		s.stats.completed.Add(1)
+		s.stats.inc(nCompleted)
 		rel()
 	}, nil
 }
 
-// answer resolves, classifies and serves one validated run query:
-// cache hit, coalesced into an identical in-flight query, or executed
-// fresh — the last gated by the admission queue under the endpoint's
-// class. The returned state is the X-Sx4d-Cache header value; the body
-// is byte-identical across all three for the same canonical query.
-func (s *Server) answer(ctx context.Context, req RunRequest, class admitClass) (body []byte, state string, err error) {
-	s.stats.runQueries.Add(1)
+// query is one content-addressed unit of work, the form every
+// endpoint reduces its request to: the admission class its execution
+// runs under, the response-cache key, and the execution that renders
+// the response bytes on a miss.
+type query struct {
+	class   admitClass
+	key     uint64
+	execute func(context.Context) ([]byte, error)
+}
+
+// serve answers one query: from the response cache, coalesced into an
+// identical in-flight query, or executed fresh — the last gated by the
+// admission queue under the query's class. The returned state is the
+// X-Sx4d-Cache header value; the body is byte-identical across all
+// three for the same key.
+func (s *Server) serve(ctx context.Context, q query) (body []byte, state string, err error) {
 	// A dead context gets no answer, cached or not: the client already
 	// hung up, so any bytes written now are wasted work.
 	if ctx.Err() != nil {
 		return nil, "", unavailablef(1, "serve: query abandoned: %s", context.Cause(ctx))
 	}
-	canon := req.Canonical()
-	tgt, err := s.target(canon.Machine)
-	if err != nil {
-		return nil, "", err
-	}
-	fp := canon.Fingerprint(tgt.Fingerprint())
-	if b, ok := s.cache.Load(fp); ok {
-		s.stats.hits.Add(1)
+	if b, ok := s.cache.Load(q.key); ok {
+		s.stats.inc(nCacheHits)
 		return b, "hit", nil
 	}
-	body, err, coalesced := s.flight.do(fp, func() ([]byte, error) {
-		release, err := s.admitOne(ctx, class)
+	body, err, coalesced := s.flight.do(q.key, func() ([]byte, error) {
+		release, err := s.admitOne(ctx, q.class)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		b, err := s.execute(ctx, tgt, canon, req.Workers)
+		b, err := q.execute(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return s.cache.LoadOrStore(fp, func() []byte { return b }), nil
+		return s.cache.LoadOrStore(q.key, func() []byte { return b }), nil
 	})
 	if err != nil {
 		return nil, "", err
 	}
 	if coalesced {
-		s.stats.coalesced.Add(1)
+		s.stats.inc(nCoalesced)
 		return body, "coalesced", nil
 	}
-	s.stats.executed.Add(1)
+	s.stats.inc(nRunsExecuted)
 	return body, "miss", nil
+}
+
+// runQuery decodes one run request — a /v1/run body or a sweep line —
+// and resolves it into a query under class.
+func (s *Server) runQuery(data []byte, class admitClass) (query, error) {
+	req, err := DecodeRunRequest(data)
+	if err != nil {
+		return query{}, failf(http.StatusBadRequest, "%s", err)
+	}
+	return s.resolveRun(req, class)
+}
+
+// resolveRun resolves a validated run request into a query under
+// class: the canonical form, the shared target instance, and the
+// content key.
+func (s *Server) resolveRun(req RunRequest, class admitClass) (query, error) {
+	s.stats.inc(nRunQueries)
+	canon := req.Canonical()
+	tgt, err := s.target(canon.Machine)
+	if err != nil {
+		return query{}, err
+	}
+	return query{class, canon.Fingerprint(tgt.Fingerprint()), func(ctx context.Context) ([]byte, error) {
+		return s.execute(ctx, tgt, canon, req.Workers)
+	}}, nil
 }
 
 // execute runs the canonical query's simulation and renders the
@@ -529,7 +568,7 @@ func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunReques
 // abandoned, not wrong); everything else is the request's fault, 422.
 func (s *Server) executeError(err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.stats.execCancelled.Add(1)
+		s.stats.inc(nExecCancelled)
 		return unavailablef(1, "%s", err)
 	}
 	return failf(http.StatusUnprocessableEntity, "%s", err)
@@ -539,18 +578,12 @@ func (s *Server) executeError(err error) error {
 // record: the shape clients already parse from benchmark text, so a
 // response embeds cleanly in existing tooling.
 func measurementResult(m ncar.Measurement) benchjson.Result {
-	r := benchjson.Result{
+	return benchjson.Result{
 		Name:       m.Benchmark,
 		Iterations: int64(m.KTries),
 		NsPerOp:    m.Seconds * 1e9,
+		Metrics:    m.Metrics,
 	}
-	if len(m.Metrics) > 0 {
-		r.Metrics = make(map[string]float64, len(m.Metrics))
-		for k, v := range m.Metrics {
-			r.Metrics[k] = v
-		}
-	}
-	return r
 }
 
 // CanonicalRequest is the golden-pinned query: the full suite on the
@@ -563,7 +596,12 @@ func CanonicalRequest() RunRequest {
 // for CanonicalRequest — the byte-stable artifact the golden suite and
 // the serve-smoke script both diff against a live daemon's output.
 func RenderCanonical(w io.Writer) error {
-	body, _, err := New(Config{}).answer(context.Background(), CanonicalRequest(), classRun)
+	s := New(Config{})
+	q, err := s.resolveRun(CanonicalRequest(), classRun)
+	if err != nil {
+		return err
+	}
+	body, _, err := s.serve(context.Background(), q)
 	if err != nil {
 		return err
 	}

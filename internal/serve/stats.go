@@ -2,114 +2,87 @@ package serve
 
 import "sync/atomic"
 
-// serverStats holds the daemon's lifetime counters. Every run query is
-// classified exactly one way — cache hit, coalesced into an in-flight
-// identical query, or executed — so hits+coalesced+executed equals the
-// query count and the coalescing tests can assert executed < queries.
-// The admission counters obey their own balance: every execution
-// attempt is exactly one of admitted, shed, timed out or cancelled,
-// and every admitted execution completes — the invariants the chaos
-// soak asserts after quiescence.
-type serverStats struct {
-	requests   atomic.Uint64 // HTTP requests accepted by any handler
-	runQueries atomic.Uint64 // individual run queries (POST /v1/run + sweep lines)
-	sweepLines atomic.Uint64 // NDJSON lines consumed by POST /v1/sweep
-	hits       atomic.Uint64 // queries answered from the response cache
-	coalesced  atomic.Uint64 // queries that shared an in-flight execution
-	executed   atomic.Uint64 // queries that ran the simulation
-	errors     atomic.Uint64 // queries and requests answered with an error
-	latencyUS  atomic.Int64  // summed handler wall time, microseconds
+// counter indexes the daemon's lifetime counters. Every query a handler
+// resolves — a run query or a capacity query — that is then answered
+// is classified exactly one way: cache hit, coalesced into an in-flight
+// identical query, or executed; a query that fails is none of the
+// three. So cache_hits + coalesced + runs_executed == run_queries +
+// capacity_queries − failed queries, and the coalescing tests can
+// assert executed < queries. The admission counters obey their own
+// balance: admit_requests = admitted + shed + queue_timeouts +
+// queue_cancelled, and admitted = completed + the in-flight gauge —
+// the invariants the chaos soak asserts after quiescence.
+type counter int
 
-	// Admission accounting: admitRequests = admitted + shed +
-	// queueTimeouts + queueCancelled, and admitted = completed +
-	// in-flight gauge.
-	admitRequests  atomic.Uint64 // executions that asked for admission
-	admitted       atomic.Uint64 // executions granted a slot
-	shed           atomic.Uint64 // arrivals dropped on a full queue
-	queueTimeouts  atomic.Uint64 // waits expired by the queue-wait deadline
-	queueCancelled atomic.Uint64 // waits abandoned by the client
-	completed      atomic.Uint64 // admitted executions finished (either way)
-	execCancelled  atomic.Uint64 // executions abandoned mid-measurement by a dead context
-	sweepAborts    atomic.Uint64 // sweep streams stopped by client disconnect
+const (
+	nRequests        counter = iota // HTTP requests accepted by any handler
+	nRunQueries                     // run queries resolved (POST /v1/run + sweep lines)
+	nSweepLines                     // NDJSON lines consumed by POST /v1/sweep
+	nCacheHits                      // queries answered from the response cache
+	nCoalesced                      // queries that shared an in-flight execution
+	nRunsExecuted                   // queries that ran the simulation
+	nErrors                         // queries and requests answered with an error
+	nAdmitRequests                  // executions that asked for admission
+	nAdmitted                       // executions granted a slot
+	nShed                           // arrivals dropped on a full queue
+	nQueueTimeouts                  // waits expired by the queue-wait deadline
+	nQueueCancelled                 // waits abandoned by the client
+	nCompleted                      // admitted executions finished (either way)
+	nExecCancelled                  // executions abandoned mid-measurement by a dead context
+	nSweepAborts                    // sweep streams stopped by client disconnect
+	nCapacityQueries                // fleet capacity queries resolved (POST /v1/capacity)
+	nCapacityJobs                   // jobs simulated by executed capacity queries
+	numCounters
+)
 
-	capacityQueries atomic.Uint64 // fleet capacity queries (POST /v1/capacity)
-	capacityJobs    atomic.Uint64 // jobs simulated by executed capacity queries
+// counterNames names every counter in snapshot file order. The
+// snapshot loader is strict: an unknown name is corruption, not
+// forward compatibility — format changes bump the version header.
+var counterNames = [numCounters]string{
+	"requests", "run_queries", "sweep_lines", "cache_hits", "coalesced",
+	"runs_executed", "errors", "admit_requests", "admitted", "shed",
+	"queue_timeouts", "queue_cancelled", "completed", "exec_cancelled",
+	"sweep_aborts", "capacity_queries", "capacity_jobs",
 }
+
+// serverStats holds the lifetime counters and the summed handler wall
+// time, in microseconds.
+type serverStats struct {
+	n         [numCounters]atomic.Uint64
+	latencyUS atomic.Int64
+}
+
+func (s *serverStats) inc(c counter) { s.n[c].Add(1) }
 
 // restore seeds the lifetime counters from a warm-start snapshot, so a
 // restarted daemon's books continue where the previous process left
 // off instead of resetting to zero. Called before serving begins.
 func (s *serverStats) restore(c StatCounters) {
-	s.requests.Store(c.Requests)
-	s.runQueries.Store(c.RunQueries)
-	s.sweepLines.Store(c.SweepLines)
-	s.hits.Store(c.CacheHits)
-	s.coalesced.Store(c.Coalesced)
-	s.executed.Store(c.RunsExecuted)
-	s.errors.Store(c.Errors)
-	s.admitRequests.Store(c.AdmitRequests)
-	s.admitted.Store(c.Admitted)
-	s.shed.Store(c.Shed)
-	s.queueTimeouts.Store(c.QueueTimeouts)
-	s.queueCancelled.Store(c.QueueCancelled)
-	s.completed.Store(c.Completed)
-	s.execCancelled.Store(c.ExecCancelled)
-	s.sweepAborts.Store(c.SweepAborts)
-	s.capacityQueries.Store(c.CapacityQueries)
-	s.capacityJobs.Store(c.CapacityJobs)
+	for i, v := range c {
+		s.n[i].Store(v)
+	}
 }
 
 // counters snapshots the raw counter values (the persisted subset).
 func (s *serverStats) counters() StatCounters {
-	return StatCounters{
-		Requests:        s.requests.Load(),
-		RunQueries:      s.runQueries.Load(),
-		SweepLines:      s.sweepLines.Load(),
-		CacheHits:       s.hits.Load(),
-		Coalesced:       s.coalesced.Load(),
-		RunsExecuted:    s.executed.Load(),
-		Errors:          s.errors.Load(),
-		AdmitRequests:   s.admitRequests.Load(),
-		Admitted:        s.admitted.Load(),
-		Shed:            s.shed.Load(),
-		QueueTimeouts:   s.queueTimeouts.Load(),
-		QueueCancelled:  s.queueCancelled.Load(),
-		Completed:       s.completed.Load(),
-		ExecCancelled:   s.execCancelled.Load(),
-		SweepAborts:     s.sweepAborts.Load(),
-		CapacityQueries: s.capacityQueries.Load(),
-		CapacityJobs:    s.capacityJobs.Load(),
+	var c StatCounters
+	for i := range c {
+		c[i] = s.n[i].Load()
 	}
+	return c
 }
 
-// StatCounters is the portable form of the lifetime counters: what the
-// cache snapshot persists, so the books survive a restart.
-type StatCounters struct {
-	Requests        uint64
-	RunQueries      uint64
-	SweepLines      uint64
-	CacheHits       uint64
-	Coalesced       uint64
-	RunsExecuted    uint64
-	Errors          uint64
-	AdmitRequests   uint64
-	Admitted        uint64
-	Shed            uint64
-	QueueTimeouts   uint64
-	QueueCancelled  uint64
-	Completed       uint64
-	ExecCancelled   uint64
-	SweepAborts     uint64
-	CapacityQueries uint64
-	CapacityJobs    uint64
-}
+// StatCounters is the portable form of the lifetime counters, indexed
+// like counterNames: what the cache snapshot persists, so the books
+// survive a restart.
+type StatCounters [numCounters]uint64
 
 // Stats is the JSON shape of GET /v1/stats: the daemon's counters plus
 // a snapshot of the response cache and the aggregated compiled-trace
-// cache counters of every machine instance the daemon has built. Hit rate is
-// over run queries (hits / (hits + coalesced + executed)); coalesced
-// queries are not cache hits — the bytes had not been stored yet when
-// they arrived.
+// cache counters of every machine instance the daemon has built. Hit
+// rate is over answered queries of both kinds (hits / (hits +
+// coalesced + executed)); coalesced queries are not cache hits — the
+// bytes had not been stored yet when they arrived.
 type Stats struct {
 	Requests     uint64 `json:"requests"`
 	RunQueries   uint64 `json:"run_queries"`
@@ -169,25 +142,25 @@ type Stats struct {
 func (s *serverStats) snapshot() Stats {
 	c := s.counters()
 	out := Stats{
-		Requests:     c.Requests,
-		RunQueries:   c.RunQueries,
-		SweepLines:   c.SweepLines,
-		CacheHits:    c.CacheHits,
-		Coalesced:    c.Coalesced,
-		RunsExecuted: c.RunsExecuted,
-		Errors:       c.Errors,
+		Requests:     c[nRequests],
+		RunQueries:   c[nRunQueries],
+		SweepLines:   c[nSweepLines],
+		CacheHits:    c[nCacheHits],
+		Coalesced:    c[nCoalesced],
+		RunsExecuted: c[nRunsExecuted],
+		Errors:       c[nErrors],
 
-		AdmitRequests:  c.AdmitRequests,
-		Admitted:       c.Admitted,
-		Shed:           c.Shed,
-		QueueTimeouts:  c.QueueTimeouts,
-		QueueCancelled: c.QueueCancelled,
-		Completed:      c.Completed,
-		ExecCancelled:  c.ExecCancelled,
-		SweepAborts:    c.SweepAborts,
+		AdmitRequests:  c[nAdmitRequests],
+		Admitted:       c[nAdmitted],
+		Shed:           c[nShed],
+		QueueTimeouts:  c[nQueueTimeouts],
+		QueueCancelled: c[nQueueCancelled],
+		Completed:      c[nCompleted],
+		ExecCancelled:  c[nExecCancelled],
+		SweepAborts:    c[nSweepAborts],
 
-		CapacityQueries: c.CapacityQueries,
-		CapacityJobs:    c.CapacityJobs,
+		CapacityQueries: c[nCapacityQueries],
+		CapacityJobs:    c[nCapacityJobs],
 	}
 	out.LatencyTotalMS = float64(s.latencyUS.Load()) / 1e3
 	if total := out.CacheHits + out.Coalesced + out.RunsExecuted; total > 0 {

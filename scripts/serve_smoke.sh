@@ -2,8 +2,10 @@
 # serve_smoke.sh — end-to-end smoke of the sx4d daemon: boot it on an
 # ephemeral port, probe /healthz, submit the canonical /v1/run query
 # twice, diff the body against the committed golden artifact, and
-# require the repeat to be an exact cache hit. Run from the repository
-# root (make serve-smoke does); requires curl.
+# require the repeat to be an exact cache hit; then post one small
+# /v1/capacity query twice and require two 200s, identical bytes and a
+# cache hit on the repeat. Run from the repository root (make
+# serve-smoke does); requires curl.
 set -eu
 
 BIN=${SX4D:-bin/sx4d}
@@ -42,4 +44,16 @@ cmp -s "$WORK/run1" "$WORK/run2" \
 grep -qi '^x-sx4d-cache: hit' "$WORK/h2" \
     || { echo "serve-smoke: repeat query was not a cache hit" >&2; exit 1; }
 
-echo "serve-smoke: ok ($ADDR: healthz, golden /v1/run, exact cache hit)"
+CAPACITY='{"fleet":"c90","scenarios":2,"seed":5}'
+for n in 1 2; do
+    code=$(curl -sS -D "$WORK/ch$n" -o "$WORK/cap$n" -w '%{http_code}' \
+        -d "$CAPACITY" "http://$ADDR/v1/capacity")
+    [ "$code" = 200 ] \
+        || { echo "serve-smoke: /v1/capacity answered $code: $(cat "$WORK/cap$n")" >&2; exit 1; }
+done
+cmp -s "$WORK/cap1" "$WORK/cap2" \
+    || { echo "serve-smoke: repeat capacity query returned different bytes" >&2; exit 1; }
+grep -qi '^x-sx4d-cache: hit' "$WORK/ch2" \
+    || { echo "serve-smoke: repeat capacity query was not a cache hit" >&2; exit 1; }
+
+echo "serve-smoke: ok ($ADDR: healthz, golden /v1/run, exact cache hits on /v1/run and /v1/capacity)"
