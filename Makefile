@@ -165,6 +165,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCacheSnapshotLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/target -run '^$$' -fuzz '^FuzzFPCacheBudget$$' -fuzztime $(FUZZTIME)
 
 # Aggregate statement coverage across all packages.
 cover:
@@ -178,8 +179,8 @@ bench-baseline:
 
 # Record the cold-sweep scaling baseline — the 10k-scenario sweep of
 # distinct (machine, trace, allocation) triples across the machine
-# registry at 1/4/8 workers, on fresh machines, every scenario through
-# the one compiled route — as BENCH_SWEEP.json.
+# registry at 1 and GOMAXPROCS workers, on fresh machines, every
+# scenario through the one compiled route — as BENCH_SWEEP.json.
 # bench-sweep-short is the CI smoke: 1k scenarios, one iteration,
 # checksum cross-checked between every worker count.
 bench-sweep:

@@ -1,9 +1,11 @@
 // Command benchjson converts `go test -bench` text output on stdin
 // into a JSON baseline file. Each benchmark line becomes one record
 // with ns/op, allocation counters and any custom metrics; the header's
-// goos/goarch/cpu context rides along, and the RunAll serial/parallel
-// pair is summarized as a speedup ratio when both are present. The
-// parsing lives in internal/benchjson.
+// goos/goarch/cpu context rides along with this host's CPU count and
+// the GOMAXPROCS the names carry (run it on the host that ran the
+// benchmarks), and the RunAll serial/parallel pair is summarized as a
+// speedup ratio when both are present. The parsing lives in
+// internal/benchjson.
 //
 // Usage:
 //
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"sx4bench/internal/benchjson"
 	"sx4bench/internal/core"
@@ -29,6 +32,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	b.NumCPU = runtime.NumCPU()
+	b.GOMAXPROCS = benchjson.GOMAXPROCS(b.Benchmarks)
 	if err := benchjson.Validate(b); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

@@ -163,7 +163,7 @@ func runStats(ctx context.Context, c *client.Client, args []string) int {
 		st.Requests, st.RunQueries, st.CacheHits, st.Coalesced, st.RunsExecuted, st.Errors)
 	fmt.Printf("admission: requested=%d admitted=%d shed=%d queue_timeouts=%d queue_cancelled=%d completed=%d in_flight=%d queue_depth=%d\n",
 		st.AdmitRequests, st.Admitted, st.Shed, st.QueueTimeouts, st.QueueCancelled, st.Completed, st.InFlight, st.QueueDepth)
-	fmt.Printf("cache: entries=%d hit_rate=%.3f warm_start=%v restored=%d\n",
-		st.CacheEntries, st.CacheHitRate, st.WarmStart, st.RestoredEntries)
+	fmt.Printf("cache: entries=%d bytes=%d evictions=%d hit_rate=%.3f warm_start=%v restored=%d\n",
+		st.CacheEntries, st.CacheBytes, st.CacheEvictions, st.CacheHitRate, st.WarmStart, st.RestoredEntries)
 	return 0
 }

@@ -16,7 +16,9 @@
 //	curl -s -d '{"machine":"sx4-32"}' localhost:8700/v1/run
 //
 // With -addr :0 the kernel picks a free port; -portfile publishes the
-// bound address for scripts (the serve-smoke harness uses this). The
+// bound address for scripts (the serve-smoke harness uses this).
+// -cachebytes bounds the memory cached answers may hold (32 MiB by
+// default); an evicted answer is recomputed byte-identically. The
 // daemon drains in-flight requests and exits cleanly on SIGINT or
 // SIGTERM.
 package main
@@ -52,6 +54,7 @@ func run() int {
 	queuedepth := flag.Int("queuedepth", 0, "admission queue depth per endpoint class (0 = default)")
 	cachefile := flag.String("cache", "", "cache snapshot path: warm-start from it on boot, write it on drain (empty = no persistence)")
 	snapinterval := flag.Duration("snapshot-interval", 30*time.Second, "periodic snapshot cadence when -cache is set")
+	cachebytes := flag.Int64("cachebytes", 0, "memory budget in bytes for cached answers: responses get 3/4, fleet scenarios 1/4 (0 = 32 MiB)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "sx4d: unexpected arguments: %v\n", flag.Args())
@@ -79,6 +82,7 @@ func run() int {
 		RequestTimeout: *timeout,
 		QueueWait:      *queuewait,
 		QueueDepth:     *queuedepth,
+		CacheBytes:     *cachebytes,
 		Now:            time.Now,
 	})
 	if *cachefile != "" {

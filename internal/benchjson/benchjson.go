@@ -29,9 +29,15 @@ type Result struct {
 
 // Baseline is the file layout.
 type Baseline struct {
-	GOOS       string   `json:"goos,omitempty"`
-	GOARCH     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU is the recording host's logical CPU count (cmd/benchjson
+	// runs on that host and reads it), and GOMAXPROCS the value the
+	// benchmarks ran under (see GOMAXPROCS), so a worker count can be
+	// read against the cores that ran it.
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 	// RunAllSpeedup is serial ns/op divided by parallel ns/op for the
 	// BenchmarkRunAllSerial / BenchmarkRunAllParallel pair.
@@ -128,6 +134,23 @@ func Parse(r io.Reader) (Baseline, error) {
 	b.RunAllSpeedup = sp.runAll()
 	b.CapacitySpeedup = sp.capacity()
 	return b, nil
+}
+
+// GOMAXPROCS returns the GOMAXPROCS value records ran under, read from
+// the "-N" suffix go test appends to every benchmark name when
+// GOMAXPROCS is N > 1: the largest N when every name carries one, and
+// 1 when any name has none.
+func GOMAXPROCS(records []Result) int {
+	procs := 1
+	for _, r := range records {
+		i := strings.LastIndexByte(r.Name, '-')
+		n, err := strconv.Atoi(r.Name[i+1:])
+		if i < 0 || err != nil || n < 1 {
+			return 1
+		}
+		procs = max(procs, n)
+	}
+	return procs
 }
 
 // Load reads a baseline JSON file (as written by cmd/benchjson) back

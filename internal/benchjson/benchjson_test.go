@@ -242,3 +242,31 @@ func TestParseLineVeryLongLine(t *testing.T) {
 		t.Fatalf("long line parsed %d benchmarks", len(b.Benchmarks))
 	}
 }
+
+// TestGOMAXPROCS pins the host record's reading of go test's name
+// suffix: "-N" on every record means GOMAXPROCS N, and a record
+// without one means the run was at 1.
+func TestGOMAXPROCS(t *testing.T) {
+	rec := func(names ...string) []Result {
+		var rs []Result
+		for _, n := range names {
+			rs = append(rs, Result{Name: n})
+		}
+		return rs
+	}
+	for _, tc := range []struct {
+		records []Result
+		want    int
+	}{
+		{rec("BenchmarkColdSweep10k/workers=1-2", "BenchmarkColdSweep10k/workers=2-2"), 2},
+		{rec("BenchmarkColdSweep10k/workers=1", "BenchmarkColdSweep10k/workers=2"), 1},
+		{rec("BenchmarkMachine/sx4-32-8"), 8},
+		{rec("BenchmarkMachine/sx4-32-8", "BenchmarkRunAllSerial"), 1},
+		{rec("BenchmarkX-"), 1},
+		{nil, 1},
+	} {
+		if got := GOMAXPROCS(tc.records); got != tc.want {
+			t.Errorf("GOMAXPROCS(%v) = %d, want %d", tc.records, got, tc.want)
+		}
+	}
+}

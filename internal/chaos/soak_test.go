@@ -49,21 +49,59 @@ var soakQueries = []struct{ path, body string }{
 // return to zero, the cache snapshot renders deterministically, and no
 // goroutines leak. Run via `make chaos` (always under -race).
 func TestChaosSoak(t *testing.T) {
+	for _, seed := range soakSeedList(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { soak(t, seed, 0) })
+	}
+}
+
+// evictingCacheBytes is a budget under which the soak's answers do not
+// all fit: each shard's generation share of the response cache is 300
+// bytes, so the four one-member run answers (261–274 bytes with their
+// overhead) are held while the fault-seeded run and both capacity
+// answers, and every fleet scenario, are too large to hold and are
+// recomputed, and evicted, on every ask.
+const evictingCacheBytes = 300 * 128 * 4 / 3
+
+// TestChaosSoakEvicting runs the soak, invariants unchanged, under
+// evictingCacheBytes: eviction must not change a byte, lose a response
+// or unbalance a book, and it must actually happen.
+func TestChaosSoakEvicting(t *testing.T) {
+	for _, seed := range soakSeedList(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			st := soak(t, seed, evictingCacheBytes)
+			if st.CacheEvictions == 0 || st.CapacityScenarioEvictions == 0 {
+				t.Fatalf("nothing evicted at %d bytes: %+v", evictingCacheBytes, st)
+			}
+			if st.CacheBytes > evictingCacheBytes {
+				t.Fatalf("response cache holds %d bytes, budget %d", st.CacheBytes, evictingCacheBytes)
+			}
+		})
+	}
+}
+
+// soakSeedList parses -chaos.seeds.
+func soakSeedList(t *testing.T) []int64 {
+	var seeds []int64
 	for _, field := range strings.Split(*soakSeeds, ",") {
 		var seed int64
 		if _, err := fmt.Sscanf(strings.TrimSpace(field), "%d", &seed); err != nil {
 			t.Fatalf("bad -chaos.seeds entry %q: %v", field, err)
 		}
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { soak(t, seed) })
+		seeds = append(seeds, seed)
 	}
+	return seeds
 }
 
-func soak(t *testing.T, seed int64) {
+// soak runs one seeded soak against a daemon with the given cache
+// budget (0: the default), asserts the invariants, and returns the
+// daemon's final stats.
+func soak(t *testing.T, seed, cacheBytes int64) serve.Stats {
 	before := runtime.NumGoroutine()
 	srv := serve.New(serve.Config{
 		MaxConcurrent: 2,
 		QueueDepth:    4,
 		QueueWait:     50 * time.Millisecond,
+		CacheBytes:    cacheBytes,
 	})
 	plan := chaos.NewPlan(seed)
 	ts := httptest.NewServer(plan.Middleware(srv))
@@ -166,6 +204,7 @@ func soak(t *testing.T, seed int64) {
 
 	// No goroutine leaks: the count returns to (about) where it began.
 	waitGoroutines(t, before+3)
+	return st
 }
 
 func errorCount(codes map[int]int) int {

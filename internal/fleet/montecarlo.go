@@ -225,9 +225,24 @@ type Report struct {
 // Engine runs capacity Monte Carlos with a per-scenario memo: repeated
 // queries over overlapping scenario sets (the sx4d capacity endpoint,
 // repeated artifact renders) re-simulate nothing. The zero value is
-// ready to use; the memo is safe for concurrent engines and callers.
+// ready to use, with an unbounded memo; the memo is safe for
+// concurrent engines and callers.
 type Engine struct {
 	memo target.FPCache[ScenarioResult]
+}
+
+// scenarioEntryBytes is one memo entry's cost against a budget: a map
+// slot holding the fingerprint and the 88-byte ScenarioResult, which
+// measured 136–213 B per entry in maps of 300 to 100 000 entries
+// (go1.24, amd64).
+const scenarioEntryBytes = 192
+
+// SetBudget bounds the scenario memo to budget bytes (see
+// target.FPCache.SetBudget); budget <= 0 leaves it unbounded. An
+// evicted scenario is simulated again, to the same result. Call it
+// once, before the engine is shared.
+func (e *Engine) SetBudget(budget int64) {
+	e.memo.SetBudget(budget, func(ScenarioResult) int64 { return scenarioEntryBytes })
 }
 
 // Stats exposes the scenario-memo counters (the /v1/stats surface).

@@ -158,8 +158,9 @@ func TestMeasureResilientMatchesMeasure(t *testing.T) {
 	}
 }
 
-// TestNilTargetErrors calls each measurement and runner entry point
-// with a nil target: each must return an error, not panic.
+// TestNilTargetErrors calls each measurement, runner and renderer
+// entry point with a nil target: each must return an error before any
+// output, not panic.
 func TestNilTargetErrors(t *testing.T) {
 	ctx := context.Background()
 	var buf bytes.Buffer
@@ -180,6 +181,10 @@ func TestNilTargetErrors(t *testing.T) {
 		{"RunBenchmark", func() error { return RunBenchmark(&buf, nil, "RADABS", 0) }},
 		{"RunResilient", func() error { _, err := RunResilient(&buf, nil, "RADABS", 0, ResilientOpts{}); return err }},
 		{"ShortSummary", func() error { return ShortSummary(&buf, nil) }},
+		{"WriteReport", func() error { return WriteReport(&buf, nil) }},
+		{"WriteProdload", func() error { return WriteProdload(&buf, nil) }},
+		{"ProfileTable", func() error { _, err := ProfileTable(nil, "T42L18", 4); return err }},
+		{"MultiNodeTable", func() error { _, err := MultiNodeTable(nil, "T170L18"); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.call(); err == nil {

@@ -90,6 +90,9 @@ func Anchors(m target.Target) []Anchor {
 // category of the suite, the paper-versus-model anchors, and the
 // comparator contrast of Section 3.
 func WriteReport(w io.Writer, m target.Target) error {
+	if m == nil {
+		return fmt.Errorf("ncar: nil target for report")
+	}
 	p := func(format string, args ...any) error {
 		_, err := fmt.Fprintf(w, format, args...)
 		return err
@@ -198,6 +201,9 @@ func countPass(c CorrectnessResult) int {
 // where the simulated machine spends its cycles at a resolution and
 // processor count.
 func ProfileTable(m target.Target, resName string, procs int) (core.Table, error) {
+	if m == nil {
+		return core.Table{}, fmt.Errorf("ncar: nil target for %s profile", resName)
+	}
 	res, err := ccm2.ResolutionByName(resName)
 	if err != nil {
 		return core.Table{}, err
@@ -235,6 +241,9 @@ func ProfileTable(m target.Target, resName string, procs int) (core.Table, error
 
 // MultiNodeTable renders the IXS projection for a resolution.
 func MultiNodeTable(m target.Target, resName string) (core.Table, error) {
+	if m == nil {
+		return core.Table{}, fmt.Errorf("ncar: nil target for %s multi-node projection", resName)
+	}
 	res, err := ccm2.ResolutionByName(resName)
 	if err != nil {
 		return core.Table{}, err

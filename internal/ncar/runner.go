@@ -113,6 +113,9 @@ func WriteIO(w io.Writer, r IOCategoryResult) error {
 // WriteProdload runs the production-mix benchmark on m and writes its
 // per-test and total times.
 func WriteProdload(w io.Writer, m target.Target) error {
+	if m == nil {
+		return fmt.Errorf("ncar: nil target for PRODLOAD")
+	}
 	r := prodload.Run(m)
 	_, err := fmt.Fprintf(w,
 		"PRODLOAD: test1=%.0fs test2=%.0fs test3=%.0fs test4=%.0fs total=%.0fs (%.1f min; paper: 93 min 28 s)\n",

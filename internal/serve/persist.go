@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
+	"maps"
 	"os"
 	"slices"
 	"sort"
@@ -252,12 +253,14 @@ func (s *Server) WriteSnapshot(path string) error {
 }
 
 // LoadSnapshot warm-starts the server from a snapshot file written by
-// an earlier life: response-cache entries are installed (live entries
-// win — callers load before serving, so there are none), the lifetime
-// counters resume, and the memo books carry forward. A missing file is
-// a cold start, not an error; a damaged file is an error and the
-// caller decides whether to serve cold or refuse to boot. Returns the
-// number of cache entries restored.
+// an earlier life: response-cache entries are installed in fingerprint
+// order until the cache budget is full (live entries win — callers
+// load before serving, so there are none — and nothing is evicted to
+// make room, so a smaller budget keeps the same subset on every boot),
+// the lifetime counters resume, and the memo books carry forward. A
+// missing file is a cold start, not an error; a damaged file is an
+// error and the caller decides whether to serve cold or refuse to
+// boot. Returns the number of cache entries restored: the ones held.
 func (s *Server) LoadSnapshot(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -270,14 +273,17 @@ func (s *Server) LoadSnapshot(path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for fp, body := range sn.Entries {
-		s.cache.Store(fp, body)
+	n := 0
+	for _, fp := range slices.Sorted(maps.Keys(sn.Entries)) {
+		if s.cache.Store(fp, sn.Entries[fp]) {
+			n++
+		}
 	}
 	s.stats.restore(sn.Counters)
 	s.mu.Lock()
 	s.restoredMemo = sn.Memo
 	s.warmStart = true
-	s.restoredEntries = len(sn.Entries)
+	s.restoredEntries = n
 	s.mu.Unlock()
-	return len(sn.Entries), nil
+	return n, nil
 }

@@ -230,3 +230,49 @@ func writeRendered(path string, sn *Snapshot) error {
 	}
 	return os.WriteFile(path, data, 0o644)
 }
+
+// TestLoadSnapshotBudget pins the warm start under a budget smaller
+// than the snapshot: entries install in fingerprint order until the
+// response cache is full, nothing is evicted to make room,
+// restored_entries counts exactly the entries held, and every boot
+// keeps the same subset.
+func TestLoadSnapshotBudget(t *testing.T) {
+	sn := &Snapshot{Entries: make(map[uint64][]byte)}
+	for i := uint64(0); i < 2000; i++ {
+		sn.Entries[i*0x9e3779b97f4a7c15] = []byte(fmt.Sprintf("%0400d\n", i))
+	}
+	path := filepath.Join(t.TempDir(), "large.snap")
+	if err := writeRendered(path, sn); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 256 << 10
+	var kept []byte
+	for boot := 0; boot < 2; boot++ {
+		s := New(Config{Now: fakeClock(), CacheBytes: budget})
+		n, err := s.LoadSnapshot(path)
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		st := statsSnapshot(t, s)
+		if n != st.RestoredEntries || n != st.CacheEntries || n == 0 || n >= len(sn.Entries) {
+			t.Fatalf("boot %d: restored %d, stats %+v; want 0 < restored_entries == cache_entries < %d",
+				boot, n, st, len(sn.Entries))
+		}
+		if st.CacheEvictions != 0 || st.CacheBytes > budget {
+			t.Fatalf("boot %d: warm start evicted %d entries or holds %d bytes over budget %d",
+				boot, st.CacheEvictions, st.CacheBytes, budget)
+		}
+		got := s.Snapshot()
+		for fp, body := range got.Entries {
+			if !bytes.Equal(body, sn.Entries[fp]) {
+				t.Fatalf("boot %d: entry %016x restored with different bytes", boot, fp)
+			}
+		}
+		got.Counters, got.Memo = StatCounters{}, nil
+		if r := got.Render(); kept == nil {
+			kept = r
+		} else if !bytes.Equal(r, kept) {
+			t.Fatalf("boot %d kept a different subset of the snapshot", boot)
+		}
+	}
+}

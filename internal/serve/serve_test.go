@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -216,6 +218,38 @@ func TestSweep(t *testing.T) {
 	}
 	if st.RunsExecuted != 1 || st.CacheHits != 1 || st.Errors != 1 {
 		t.Fatalf("stats = %+v, want 1 executed, 1 hit, 1 error", st)
+	}
+}
+
+// TestSweepLargeBodyOverHTTP streams a sweep whose body is far larger
+// than the connection buffers over real HTTP/1.1: answers flush while
+// the body is still arriving, and every line must still be read and
+// answered.
+func TestSweepLargeBodyOverHTTP(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Now: fakeClock()}))
+	defer ts.Close()
+	var body strings.Builder
+	const lines = 400
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&body, "{\"machine\":\"sx4-32\",\"benchmarks\":[\"PARANOIA\"],\"cpus\":%d}\n", 1+i%32)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/x-ndjson", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if len(answers) != lines {
+		t.Fatalf("got %d answer lines for %d queries", len(answers), lines)
+	}
+	for i, a := range answers {
+		if strings.Contains(a, `"error"`) {
+			t.Fatalf("line %d: %s", i, a)
+		}
 	}
 }
 

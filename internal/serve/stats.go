@@ -94,6 +94,12 @@ type Stats struct {
 
 	CacheEntries int     `json:"cache_entries"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
+	// CacheBytes is the response cache's budgeted size (bodies plus
+	// per-entry overhead, within Config.CacheBytes), and CacheEvictions
+	// the answers it has dropped in this process's life; an evicted
+	// answer is recomputed byte-identically when asked again.
+	CacheBytes     int64  `json:"cache_bytes"`
+	CacheEvictions uint64 `json:"cache_evictions"`
 
 	// The admission-control books. QueueDepth and InFlight are
 	// instantaneous gauges; the rest are lifetime counters satisfying
@@ -131,6 +137,9 @@ type Stats struct {
 	CapacityJobs         uint64 `json:"capacity_jobs_simulated"`
 	CapacityScenariosRun uint64 `json:"capacity_scenarios_run"`
 	CapacityScenarioHits uint64 `json:"capacity_scenario_cache_hits"`
+	// CapacityScenarioEvictions counts scenarios the budgeted memo
+	// dropped in this process's life.
+	CapacityScenarioEvictions uint64 `json:"capacity_scenario_evictions"`
 
 	LatencyTotalMS float64 `json:"latency_total_ms"`
 	Machines       int     `json:"machines"`

@@ -7,8 +7,11 @@
 # exact cache hit with a byte-identical body. Doubles as the sx4ctl
 # single-binary smoke: every query goes through the client's retry
 # loop, and the first post-boot query exercises retry-on-503/refused
-# while the daemon is still coming up. Run from the repository root
-# (make warm-restart-smoke does).
+# while the daemon is still coming up. The first life also sweeps a
+# few hundred distinct queries, and a third life boots from the same
+# snapshot under a small -cachebytes: it must restore only what its
+# budget holds, and report exactly that many restored entries. Run
+# from the repository root (make warm-restart-smoke does).
 set -eu
 
 SX4D=${SX4D:-bin/sx4d}
@@ -24,7 +27,7 @@ SNAP="$WORK/cache.snap"
 
 boot() {
     : > "$WORK/port"
-    "$SX4D" -addr 127.0.0.1:0 -portfile "$WORK/port" -cache "$SNAP" &
+    "$SX4D" -addr 127.0.0.1:0 -portfile "$WORK/port" -cache "$SNAP" "$@" &
     PID=$!
     i=0
     while [ ! -s "$WORK/port" ]; do
@@ -40,6 +43,16 @@ boot() {
 boot
 "$SX4CTL" -addr "http://$ADDR" run -machine sx4-32 -benchmarks COPY,IA -expect-cache miss > "$WORK/first" \
     || { echo "warm-restart-smoke: first query failed or was not a miss" >&2; exit 1; }
+: > "$WORK/sweep.ndjson"
+for b in PARANOIA ELEFUNT COPY IA XPOSE RFFT VFFT RADABS; do
+    c=1
+    while [ "$c" -le 32 ]; do
+        printf '{"machine":"sx4-32","benchmarks":["%s"],"cpus":%d}\n' "$b" "$c" >> "$WORK/sweep.ndjson"
+        c=$((c + 1))
+    done
+done
+"$SX4CTL" -addr "http://$ADDR" sweep < "$WORK/sweep.ndjson" > "$WORK/sweep.out" \
+    || { echo "warm-restart-smoke: sweep failed" >&2; exit 1; }
 
 # Graceful stop: SIGTERM drains and writes the snapshot.
 kill -TERM "$PID"
@@ -63,4 +76,31 @@ kill -TERM "$PID"
 wait "$PID" || true
 PID=""
 
-echo "warm-restart-smoke: ok (cache survived SIGTERM restart; sx4ctl verified hit + byte-identical body)"
+# Third life: the same snapshot under a budget far below it. A budget
+# of 64 KiB leaves the response cache 48 KiB, 384 bytes per shard
+# generation, so only some of the snapshot's entries fit; those are
+# the ones restored, and the only ones counted.
+SAVED=$(grep -c '^entry ' "$SNAP")
+BUDGET=65536
+boot -cachebytes "$BUDGET"
+"$SX4CTL" -addr "http://$ADDR" stats > "$WORK/stats3" \
+    || { echo "warm-restart-smoke: stats failed after budgeted boot" >&2; exit 1; }
+field() {
+    sed -n "s/.* $1=\([0-9]*\).*/\1/p" "$WORK/stats3"
+}
+ENTRIES=$(field entries)
+RESTORED=$(field restored)
+HELD=$(field bytes)
+[ -n "$RESTORED" ] && [ "$RESTORED" -gt 0 ] && [ "$RESTORED" -lt "$SAVED" ] \
+    || { echo "warm-restart-smoke: restored ${RESTORED:-?} of $SAVED snapshot entries at -cachebytes $BUDGET" >&2; exit 1; }
+[ "$RESTORED" -eq "$ENTRIES" ] \
+    || { echo "warm-restart-smoke: restored_entries=$RESTORED but the cache holds $ENTRIES" >&2; exit 1; }
+[ "$HELD" -le "$BUDGET" ] \
+    || { echo "warm-restart-smoke: budgeted boot holds $HELD bytes, budget $BUDGET" >&2; exit 1; }
+
+kill -TERM "$PID"
+wait "$PID" || true
+PID=""
+
+echo "warm-restart-smoke: ok (cache survived SIGTERM restart; sx4ctl verified hit + byte-identical body;" \
+    "a $BUDGET-byte boot restored $RESTORED of $SAVED entries, all held)"
