@@ -61,7 +61,9 @@ bench:
 # What CI runs (see .github/workflows/ci.yml): the gofmt gate, vet
 # (plus staticcheck and govulncheck when installed — CI installs them,
 # local runs skip them gracefully), sx4lint, build, the full test suite under the race
-# detector, the benchmark module's vet and tests, the golden-artifact
+# detector, the registry tests run twice in one process (a test that
+# registers a machine without a guard fails there, not on someone's
+# -count run), the benchmark module's vet and tests, the golden-artifact
 # check, the cross-machine smoke sweep, the resilience smoke, the fleet
 # capacity smoke (golden-pinned capacity artifact plus a live -fleet
 # run), the cold-sweep and capacity scaling smokes (1k cold scenarios
@@ -80,6 +82,7 @@ ci:
 	$(MAKE) lint
 	$(GO) build ./...
 	$(MAKE) race-full
+	$(GO) test -count=2 ./internal/target
 	$(MAKE) perfbench-check
 	$(GO) run ./cmd/goldens
 	$(GO) run ./cmd/ncarbench -machine all -short

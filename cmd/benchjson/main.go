@@ -48,8 +48,8 @@ func main() {
 		os.Stdout.Write(data)
 		return
 	}
-	// Atomic: an interrupted run must not truncate the baseline the
-	// bench-compare gate reads.
+	// Atomic: an interrupted run must not truncate the committed
+	// baseline.
 	if err := core.WriteFileAtomic(*out, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

@@ -8,7 +8,6 @@ package benchjson
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -49,9 +48,9 @@ type Baseline struct {
 	CapacitySpeedup float64 `json:"capacity_parallel_speedup,omitempty"`
 }
 
-// speedups collects the records the derived summary fields come from,
-// so Parse and Write derive them by one rule: a ratio when both ends
-// were seen, zero otherwise, with the last record of a name winning.
+// speedups collects the records the derived summary fields come from:
+// a ratio when both ends were seen, zero otherwise, with the last
+// record of a name winning.
 type speedups struct {
 	serial, parallel       float64 // BenchmarkRunAllSerial, BenchmarkRunAllParallel
 	capSerial, capParallel float64 // BenchmarkCapacityMonteCarlo workers=1, workers=capWorkers
@@ -153,32 +152,10 @@ func GOMAXPROCS(records []Result) int {
 	return procs
 }
 
-// Load reads a baseline JSON file (as written by cmd/benchjson) back
-// into memory, for diffing a fresh run against the committed
-// BENCH_BASELINE.json. Truncated or otherwise malformed JSON is an
-// error (a half-written baseline from an interrupted bench run must
-// not silently read as "everything got faster"), and the result is
-// passed through Validate.
-func Load(r io.Reader) (Baseline, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Baseline{}, fmt.Errorf("reading baseline: %w", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Baseline{}, fmt.Errorf("parsing baseline: %w", err)
-	}
-	if err := Validate(b); err != nil {
-		return Baseline{}, err
-	}
-	return b, nil
-}
-
 // Validate checks the structural invariants of a baseline: at least
 // one record, every record named, and every number finite. JSON
-// itself cannot spell NaN or Inf, but baselines are also built in
-// memory (and a hand-edited "1e999" is caught at Unmarshal as out of
-// range); validating before Marshal keeps the two paths symmetric.
+// cannot spell NaN or Inf, so cmd/benchjson validates the baseline it
+// built in memory before Marshal, naming the offending record.
 func Validate(b Baseline) error {
 	if len(b.Benchmarks) == 0 {
 		return fmt.Errorf("baseline has no benchmark records")

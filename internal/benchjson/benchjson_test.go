@@ -1,9 +1,7 @@
 package benchjson
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -83,10 +81,6 @@ BenchmarkCapacityMonteCarlo/workers=2-2   	       1	 4500000000 ns/op	 2222 scen
 	if math.Abs(b.CapacitySpeedup-2.0) > 1e-12 {
 		t.Errorf("CapacitySpeedup = %v, want 2.0 (workers=1 over workers=2)", b.CapacitySpeedup)
 	}
-	var text strings.Builder
-	if err := Write(&text, b); err != nil {
-		t.Fatalf("Write rejected the speedup Parse derived: %v", err)
-	}
 }
 
 func TestParseEmptyErrors(t *testing.T) {
@@ -158,45 +152,15 @@ func TestParseReaderError(t *testing.T) {
 	}
 }
 
-func TestLoadRoundTrip(t *testing.T) {
-	orig, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatalf("Load of marshalled baseline: %v", err)
-	}
-	if len(got.Benchmarks) != len(orig.Benchmarks) || got.RunAllSpeedup != orig.RunAllSpeedup {
-		t.Errorf("round trip changed the baseline: %+v vs %+v", got, orig)
-	}
-}
-
-func TestLoadRejectsBadJSON(t *testing.T) {
-	valid := `{"benchmarks":[{"name":"BenchmarkX-8","iterations":10,"ns_per_op":5}]}`
-	cases := map[string]string{
-		"empty":            "",
-		"truncated":        valid[:len(valid)/2],
-		"not JSON":         "BenchmarkX-8 10 5 ns/op",
-		"no records":       `{"benchmarks":[]}`,
-		"null records":     `{"goos":"linux"}`,
-		"unnamed record":   `{"benchmarks":[{"iterations":10,"ns_per_op":5}]}`,
-		"metric overflow":  `{"benchmarks":[{"name":"BenchmarkX-8","iterations":10,"ns_per_op":5,"metrics":{"mflops":1e999}}]}`,
-		"neg iterations":   `{"benchmarks":[{"name":"BenchmarkX-8","iterations":-1,"ns_per_op":5}]}`,
-		"ns/op overflow":   `{"benchmarks":[{"name":"BenchmarkX-8","iterations":10,"ns_per_op":1e999}]}`,
-		"speedup overflow": `{"benchmarks":[{"name":"BenchmarkX-8","iterations":10,"ns_per_op":5}],"runall_parallel_speedup":1e999}`,
-	}
-	for desc, in := range cases {
-		if _, err := Load(strings.NewReader(in)); err == nil {
-			t.Errorf("Load accepted %s baseline %q", desc, in)
+func TestValidateRejectsMalformed(t *testing.T) {
+	for desc, b := range map[string]Baseline{
+		"no records":     {},
+		"unnamed record": {Benchmarks: []Result{{Iterations: 10, NsPerOp: 5}}},
+		"neg iterations": {Benchmarks: []Result{{Name: "BenchmarkX-8", Iterations: -1, NsPerOp: 5}}},
+	} {
+		if err := Validate(b); err == nil {
+			t.Errorf("Validate accepted a baseline with %s", desc)
 		}
-	}
-	if _, err := Load(failingReader{io.ErrUnexpectedEOF}); err == nil {
-		t.Error("Load accepted a failing reader")
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sx4bench/internal/superux"
 	"sx4bench/internal/target"
@@ -84,10 +83,11 @@ func ParseSpec(spec string) ([]NodeSpec, error) {
 				name, count = entry[:i], n
 			}
 		}
-		ns, err := resolveNode(name)
+		tgt, err := target.Shared(name)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: spec %q: %w", spec, err)
 		}
+		ns := specOf(strings.ToLower(strings.TrimSpace(name)), tgt)
 		for i := 0; i < count; i++ {
 			nodes = append(nodes, ns)
 		}
@@ -103,39 +103,6 @@ func ParseSpec(spec string) ([]NodeSpec, error) {
 // denial of service (the sx4d capacity endpoint parses untrusted
 // specs).
 const maxFleetNodes = 64
-
-// nodeSpecs holds every registry name's NodeSpec once it has resolved,
-// keyed by the normalized name, so a fleet spec builds each machine
-// once per process rather than once per parse (a capacity query parses
-// its spec before the response-cache read, hits included). An entry is
-// written only after a successful target.Lookup, so the registry bounds
-// the table, and it cannot go stale: Register panics on a duplicate
-// name, and a registered machine's configuration never changes.
-var (
-	nodeSpecsMu sync.RWMutex
-	nodeSpecs   = map[string]NodeSpec{}
-)
-
-// resolveNode returns the NodeSpec of one registry name, building the
-// machine only the first time the name resolves.
-func resolveNode(name string) (NodeSpec, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	nodeSpecsMu.RLock()
-	ns, ok := nodeSpecs[key]
-	nodeSpecsMu.RUnlock()
-	if ok {
-		return ns, nil
-	}
-	tgt, err := target.Lookup(name)
-	if err != nil {
-		return NodeSpec{}, err
-	}
-	ns = specOf(key, tgt)
-	nodeSpecsMu.Lock()
-	nodeSpecs[key] = ns
-	nodeSpecsMu.Unlock()
-	return ns, nil
-}
 
 // specOf reduces a resolved target to its node spec; name is the
 // normalized registry name.

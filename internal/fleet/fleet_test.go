@@ -55,20 +55,11 @@ func TestParseSpecRejections(t *testing.T) {
 	}
 }
 
-// TestParseSpecResolvesOnce pins the resolve-once node table: names
-// resolved concurrently from an empty table land once each, a rejected
-// name adds no entry, a warm parse builds no machine (15 allocations
-// when every parse looked its names up), and every entry equals the
-// spec a fresh registry lookup yields.
+// TestParseSpecResolvesOnce pins the shared-instance route: concurrent
+// parses are safe, rejected specs fail, a warm parse builds no machine
+// (15 allocations when every parse looked its names up), and every
+// node equals the spec a fresh registry lookup yields.
 func TestParseSpecResolvesOnce(t *testing.T) {
-	tableLen := func() int {
-		nodeSpecsMu.RLock()
-		defer nodeSpecsMu.RUnlock()
-		return len(nodeSpecs)
-	}
-	nodeSpecsMu.Lock()
-	clear(nodeSpecs)
-	nodeSpecsMu.Unlock()
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)
@@ -80,16 +71,10 @@ func TestParseSpecResolvesOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := tableLen(); n != 2 {
-		t.Fatalf("table holds %d entries after resolving sx4-32 and c90, want 2", n)
-	}
 	for _, spec := range []string{"nosuchmachine", "c90,nosuchmachine", "j90x0", "j90x65", "j90xab"} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)
 		}
-	}
-	if n := tableLen(); n != 2 {
-		t.Fatalf("rejected specs grew the table to %d entries", n)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := ParseSpec("sx4-32x2,c90"); err != nil {
@@ -105,7 +90,7 @@ func TestParseSpecResolvesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := specOf(name, target.MustLookup(name)); nodes[0] != want {
-			t.Errorf("%s: table entry %+v, fresh lookup %+v", name, nodes[0], want)
+			t.Errorf("%s: shared-instance node %+v, fresh lookup %+v", name, nodes[0], want)
 		}
 	}
 }

@@ -34,25 +34,10 @@ type Config struct {
 	Scenarios int
 	// Seed is the fleet seed every scenario derives from.
 	Seed int64
-	// HorizonSeconds bounds arrivals and fault schedules; 0 means
-	// WeekSeconds.
-	HorizonSeconds float64
-	// FaultEventsPerNode sizes each node's per-scenario fault plan;
-	// negative means fault-free, 0 means the default.
-	FaultEventsPerNode int
 }
 
 // withDefaults resolves the zero-value knobs.
 func (c Config) withDefaults() Config {
-	if c.HorizonSeconds == 0 {
-		c.HorizonSeconds = WeekSeconds
-	}
-	if c.FaultEventsPerNode == 0 {
-		c.FaultEventsPerNode = DefaultFaultEventsPerNode
-	}
-	if c.FaultEventsPerNode < 0 {
-		c.FaultEventsPerNode = 0
-	}
 	if c.Seed == 0 {
 		c.Seed = DefaultSeed
 	}
@@ -68,8 +53,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: config has no workload mixes")
 	case c.Scenarios <= 0:
 		return fmt.Errorf("fleet: scenario count %d must be positive", c.Scenarios)
-	case c.HorizonSeconds < 0 || math.IsNaN(c.HorizonSeconds) || math.IsInf(c.HorizonSeconds, 0):
-		return fmt.Errorf("fleet: horizon must be finite and non-negative")
 	}
 	return nil
 }
@@ -128,13 +111,12 @@ type ScenarioResult struct {
 // fleet, derive per-node fault plans from the scenario's fault seed,
 // generate the mix's arrivals, and drain the cluster.
 func (c Config) simulate(sc Scenario) ScenarioResult {
-	c = c.withDefaults()
 	specs := c.Nodes
 	if sc.Down >= 0 && sc.Down < len(specs) {
 		specs = append(append([]NodeSpec(nil), specs[:sc.Down]...), specs[sc.Down+1:]...)
 	}
-	cluster := NewCluster(specs, sc.FaultSeed, c.HorizonSeconds, c.FaultEventsPerNode)
-	arrivals := c.Mixes[sc.Mix].Arrivals(sc.ArrivalSeed, c.HorizonSeconds)
+	cluster := NewCluster(specs, sc.FaultSeed, WeekSeconds, DefaultFaultEventsPerNode)
+	arrivals := c.Mixes[sc.Mix].Arrivals(sc.ArrivalSeed, WeekSeconds)
 	res := cluster.Run(arrivals)
 	ps := core.Percentiles(res.Latencies, 50, 95, 99)
 	return ScenarioResult{
@@ -157,7 +139,6 @@ func (c Config) simulate(sc Scenario) ScenarioResult {
 // — node fingerprints and shapes, the mix definition, the horizon and
 // the scenario seeds. Worker counts never enter.
 func (c Config) fingerprint(sc Scenario) uint64 {
-	c = c.withDefaults()
 	h := fnv.New64a()
 	var buf [8]byte
 	word := func(v uint64) {
@@ -187,8 +168,8 @@ func (c Config) fingerprint(sc Scenario) uint64 {
 		word(math.Float64bits(cl.WorkMFLOP))
 		word(math.Float64bits(cl.Weight))
 	}
-	word(math.Float64bits(c.HorizonSeconds))
-	word(uint64(c.FaultEventsPerNode))
+	word(math.Float64bits(WeekSeconds))
+	word(DefaultFaultEventsPerNode)
 	word(uint64(sc.FaultSeed))
 	word(uint64(sc.ArrivalSeed))
 	return h.Sum64()

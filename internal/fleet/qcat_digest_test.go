@@ -37,8 +37,8 @@ func TestCanonicalJobHistoryDigest(t *testing.T) {
 		if sc.Down >= 0 {
 			specs = append(append([]NodeSpec(nil), specs[:sc.Down]...), specs[sc.Down+1:]...)
 		}
-		cluster := NewCluster(specs, sc.FaultSeed, cfg.HorizonSeconds, cfg.FaultEventsPerNode)
-		cluster.Run(cfg.Mixes[sc.Mix].Arrivals(sc.ArrivalSeed, cfg.HorizonSeconds))
+		cluster := NewCluster(specs, sc.FaultSeed, WeekSeconds, DefaultFaultEventsPerNode)
+		cluster.Run(cfg.Mixes[sc.Mix].Arrivals(sc.ArrivalSeed, WeekSeconds))
 		for _, n := range cluster.Nodes {
 			for id := 1; id <= len(n.Sys.Jobs); id++ {
 				j := n.Sys.Jobs[id]

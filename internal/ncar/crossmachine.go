@@ -39,7 +39,7 @@ func CrossMachineTable() (core.Table, error) {
 	}
 	targets := make([]target.Target, 0, len(names))
 	for _, name := range names {
-		tgt, err := sharedTarget(name)
+		tgt, err := target.Shared(name)
 		if err != nil {
 			return core.Table{}, fmt.Errorf("ncar: cross-machine sweep: %w", err)
 		}

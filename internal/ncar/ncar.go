@@ -115,7 +115,7 @@ func Table1() core.Table {
 	// never names a concrete model type.
 	targets := make([]target.Target, 0, 4)
 	for _, name := range []string{"sparc20", "rs6000", "j90", "ymp"} {
-		targets = append(targets, mustSharedTarget(name))
+		targets = append(targets, target.MustShared(name))
 	}
 	hintRow := []string{"HINT (MQUIPS)"}
 	radRow := []string{"RADABS (MFLOPS)"}
@@ -131,7 +131,7 @@ func Table1() core.Table {
 
 // Table2 renders the benchmarked system's specifications.
 func Table2() core.Table {
-	c := mustSharedTarget("sx4-32").Spec()
+	c := target.MustShared("sx4-32").Spec()
 	t := core.Table{
 		ID:      "table2",
 		Title:   "Specifications of the NEC SX-4/32 system used for the benchmarks",

@@ -75,7 +75,7 @@ func ResilienceTable(inj fault.Injector) (core.Table, error) {
 		end = inj.DegradationAt(math.Inf(1))
 	}
 	for _, name := range ResilienceMachines {
-		tgt, err := sharedTarget(name)
+		tgt, err := target.Shared(name)
 		if err != nil {
 			return core.Table{}, fmt.Errorf("ncar: resilience sweep: %w", err)
 		}

@@ -159,23 +159,23 @@ const sweepGrain = 64
 // real contention. workers follows the sched convention (0 =
 // GOMAXPROCS, 1 = serial).
 func Sweep(scenarios []SweepScenario, workers int) (SweepResult, error) {
-	insts := make(map[string]target.Target)
+	run := make(map[string]func(*prog.Compiled, target.RunOpts) target.Result)
 	for _, s := range scenarios {
-		if _, ok := insts[s.Machine]; ok {
+		if _, ok := run[s.Machine]; ok {
 			continue
 		}
 		t, err := target.Lookup(s.Machine)
 		if err != nil {
 			return SweepResult{}, fmt.Errorf("ncar: sweep: %w", err)
 		}
-		insts[s.Machine] = t
+		run[s.Machine] = t.RunCompiled
 	}
 	clocks := make([]float64, len(scenarios))
 	flops := make([]int64, len(scenarios))
 	var res SweepResult
 	err := sched.ForEachGrain(workers, len(scenarios), sweepGrain, func(i int) error {
 		s := &scenarios[i]
-		r := insts[s.Machine].RunCompiled(s.Compiled, s.Opts)
+		r := run[s.Machine](s.Compiled, s.Opts)
 		clocks[i] = r.Clocks
 		flops[i] = r.Flops
 		return nil

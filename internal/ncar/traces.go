@@ -1,46 +1,12 @@
 package ncar
 
 import (
-	"sync"
-
 	"sx4bench/internal/fftpack"
 	"sx4bench/internal/kernels"
 	"sx4bench/internal/radabs"
 	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
-
-// sharedTargets holds one live instance per registry name for the
-// read-only table renderers. Every Run entry point is safe for
-// concurrent use (first-store-wins compiled-trace caches), so
-// re-rendering a table reuses each machine's compiled traces instead
-// of rebuilding the machine and re-lowering its traces per call.
-// Sharing is safe because a machine's configuration is fixed at
-// construction; fault degradation is fine too, since Degraded returns
-// a new machine. Drivers that need cold caches (Sweep) use target.Lookup.
-var sharedTargets sync.Map // registry name -> target.Target
-
-func sharedTarget(name string) (target.Target, error) {
-	if v, ok := sharedTargets.Load(name); ok {
-		return v.(target.Target), nil
-	}
-	t, err := target.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if prev, loaded := sharedTargets.LoadOrStore(name, t); loaded {
-		return prev.(target.Target), nil
-	}
-	return t, nil
-}
-
-func mustSharedTarget(name string) target.Target {
-	t, err := sharedTarget(name)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
 
 // benchTraces caches the compiled form of every benchmark trace the
 // drivers revisit: the figure sweeps, the cross-machine table, the

@@ -14,7 +14,7 @@ import (
 type admitClass int
 
 const (
-	classRun      admitClass = iota // POST /v1/run and individual sweep lines' cheap path
+	classRun      admitClass = iota // POST /v1/run executions
 	classSweep                      // POST /v1/sweep line executions
 	classCapacity                   // POST /v1/capacity Monte Carlos
 	numClasses

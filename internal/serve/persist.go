@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"sx4bench/internal/core"
+	"sx4bench/internal/target"
 )
 
 // The cache snapshot format, version 1: the daemon's survivable state
@@ -67,12 +68,12 @@ func (s *Server) Snapshot() *Snapshot {
 		sn.Entries[fp] = body
 		return true
 	})
-	s.mu.Lock()
-	for name, tgt := range s.targets {
-		ms := tgt.CacheStats()
-		sn.Memo = append(sn.Memo, MemoStat{Target: name, Hits: ms.Hits, Misses: ms.Misses})
+	for _, name := range target.All() {
+		ms := target.MustShared(name).CacheStats()
+		if ms.Hits+ms.Misses > 0 {
+			sn.Memo = append(sn.Memo, MemoStat{Target: name, Hits: ms.Hits, Misses: ms.Misses})
+		}
 	}
-	s.mu.Unlock()
 	// Fold in the books inherited from earlier lives, so a chain of
 	// restarts keeps one continuous ledger.
 	sn.Memo = append(sn.Memo, s.restoredMemo...)
@@ -280,10 +281,8 @@ func (s *Server) LoadSnapshot(path string) (int, error) {
 		}
 	}
 	s.stats.restore(sn.Counters)
-	s.mu.Lock()
 	s.restoredMemo = sn.Memo
 	s.warmStart = true
 	s.restoredEntries = n
-	s.mu.Unlock()
 	return n, nil
 }

@@ -25,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"sx4bench/internal/benchjson"
@@ -107,9 +106,6 @@ type Server struct {
 	warmStart       bool
 	restoredEntries int
 	restoredMemo    []MemoStat
-
-	mu      sync.Mutex
-	targets map[string]target.Target // one shared instance per machine, compiled traces warm across queries
 }
 
 // New builds a Server from cfg, normalizing zero limits to defaults.
@@ -138,7 +134,6 @@ func New(cfg Config) *Server {
 			classSweep:    max(1, cfg.MaxConcurrent/2),
 			classCapacity: max(1, cfg.MaxConcurrent/4),
 		}),
-		targets: make(map[string]target.Target),
 	}
 	memo := cfg.CacheBytes / 4
 	s.cache.SetBudget(cfg.CacheBytes-memo, responseBytes)
@@ -293,14 +288,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.CapacityScenariosRun = cs.Misses
 	st.CapacityScenarioHits = cs.Hits
 	st.CapacityScenarioEvictions = cs.Evictions
-	s.mu.Lock()
-	for _, tgt := range s.targets {
-		ms := tgt.CacheStats()
+	for _, name := range target.All() {
+		ms := target.MustShared(name).CacheStats()
 		st.MemoHits += ms.Hits
 		st.MemoMisses += ms.Misses
 		st.MemoEntries += ms.Entries
 	}
-	s.mu.Unlock()
 	for _, m := range s.restoredMemo {
 		st.MemoHits += m.Hits
 		st.MemoMisses += m.Misses
@@ -404,21 +397,14 @@ func (s *Server) queryContext(ctx context.Context) (context.Context, context.Can
 	return context.WithCancel(ctx)
 }
 
-// target returns the shared instance for a registry name, building it
-// on first use. Instances are shared across queries deliberately:
-// Target.Run is concurrency-safe and the compiled-trace cache warms
-// across the whole query stream.
+// target resolves a registry name to its shared instance
+// (target.Shared), so the compiled-trace cache warms across the whole
+// query stream; an unknown name is a 404.
 func (s *Server) target(name string) (target.Target, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tgt, ok := s.targets[name]; ok {
-		return tgt, nil
-	}
-	tgt, err := target.Lookup(name)
+	tgt, err := target.Shared(name)
 	if err != nil {
 		return nil, failf(http.StatusNotFound, "%s", err)
 	}
-	s.targets[name] = tgt
 	return tgt, nil
 }
 

@@ -248,6 +248,13 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 		{"queued ghost job", func(s *snapshot) { s.Queue = []int{99} }, "does not exist"},
 		{"active ghost job", func(s *snapshot) { s.Active = []int{42} }, "does not exist"},
 		{"order names ghost block", func(s *snapshot) { s.Order = []string{"ghost"} }, "undefined block"},
+		{"order repeats a block", func(s *snapshot) {
+			s.Blocks["a"] = ResourceBlock{Name: "a", MaxCPUs: 2, MemGB: 8}
+			s.Order = []string{"b", "b"}
+		}, "repeats block"},
+		{"order omits a block", func(s *snapshot) {
+			s.Blocks["a"] = ResourceBlock{Name: "a", MaxCPUs: 2, MemGB: 8}
+		}, "names 1 blocks"},
 		{"block stored under another name", func(s *snapshot) {
 			s.Blocks["b"] = ResourceBlock{Name: "x", MaxCPUs: 4, MemGB: 32}
 		}, "stored under name"},

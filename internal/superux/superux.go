@@ -13,7 +13,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"sx4bench/internal/fault"
@@ -475,7 +474,8 @@ func (s *System) Checkpoint() ([]byte, error) {
 
 // Restart reconstructs a system from a checkpoint. A corrupt snapshot
 // — negative clock, unknown job state, a block stored under another
-// block's name, a job referencing an undefined resource block, a
+// block's name, a block order that does not name every block exactly
+// once, a job referencing an undefined resource block, a
 // queue/active/log entry naming a missing job, or a log entry of
 // unknown kind — is rejected rather than round-tripped silently. The
 // fault schedule is not part of the checkpoint; re-attach it with
@@ -510,17 +510,7 @@ func Restart(data []byte) (*System, error) {
 		jj := j
 		s.Jobs[id] = &jj
 	}
-	// Older checkpoints carry no registration order; fall back to the
-	// lexical order so restarted systems stay deterministic.
-	order := snap.Order
-	if len(order) != len(s.Blocks) {
-		order = order[:0]
-		for name := range s.Blocks {
-			order = append(order, name)
-		}
-		sort.Strings(order)
-	}
-	for _, name := range order {
+	for _, name := range snap.Order {
 		s.blocks = append(s.blocks, s.Blocks[name])
 	}
 	// Recompute block usage from running jobs (usage fields are
@@ -578,9 +568,15 @@ func (snap *snapshot) validate() error {
 			return fmt.Errorf("log entry for job %d has unknown kind %d", e.Job, e.Kind)
 		}
 	}
-	for _, name := range snap.Order {
+	if len(snap.Order) != len(snap.Blocks) {
+		return fmt.Errorf("block order names %d blocks, the checkpoint holds %d", len(snap.Order), len(snap.Blocks))
+	}
+	for i, name := range snap.Order {
 		if _, ok := snap.Blocks[name]; !ok {
 			return fmt.Errorf("block order names undefined block %q", name)
+		}
+		if slices.Contains(snap.Order[:i], name) {
+			return fmt.Errorf("block order repeats block %q", name)
 		}
 	}
 	return nil

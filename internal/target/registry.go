@@ -14,9 +14,16 @@ import (
 // name — the "-machine" flag of the CLIs — and no package outside the
 // registry constructors ever builds a concrete machine type.
 
+// entry is one registered machine: its constructor, and the one
+// shared instance built from it on first use.
+type entry struct {
+	ctor   func() Target
+	shared func() Target
+}
+
 var (
 	regMu    sync.RWMutex
-	registry = map[string]func() Target{}
+	registry = map[string]entry{}
 	regOrder []string
 )
 
@@ -38,17 +45,35 @@ func Register(name string, ctor func() Target) {
 	if _, dup := registry[key]; dup {
 		panic(fmt.Sprintf("target: duplicate machine name %q", name))
 	}
-	registry[key] = ctor
+	registry[key] = entry{ctor: ctor, shared: sync.OnceValue(ctor)}
 	regOrder = append(regOrder, key)
 }
 
-// Lookup constructs a fresh instance of the named machine. Names are
-// case-insensitive. Unknown names return an error listing every
-// registered machine.
+// Lookup constructs a fresh instance of the named machine, with cold
+// caches. Names are case-insensitive. Unknown names return an error
+// listing every registered machine.
 func Lookup(name string) (Target, error) {
+	return build(name, func(e entry) Target { return e.ctor() })
+}
+
+// Shared returns the named machine's one shared instance, built on the
+// first call and returned by every later one, whatever the spelling of
+// the name. Sharing is safe because every Target entry point is safe
+// for concurrent use and a machine's configuration is fixed at
+// construction (Degrade returns a new machine), so callers that re-run
+// the same traces reuse one compiled-trace cache instead of rebuilding
+// the machine. Names resolve and fail exactly as in Lookup; an unknown
+// name builds nothing. Drivers that need cold caches use Lookup.
+func Shared(name string) (Target, error) {
+	return build(name, func(e entry) Target { return e.shared() })
+}
+
+// build resolves a name to its registry entry and takes one instance
+// from it.
+func build(name string, from func(entry) Target) (Target, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
 	regMu.RLock()
-	ctor, ok := registry[key]
+	e, ok := registry[key]
 	regMu.RUnlock()
 	if !ok {
 		known := All()
@@ -56,7 +81,7 @@ func Lookup(name string) (Target, error) {
 		return nil, fmt.Errorf("target: unknown machine %q (known: %s)",
 			name, strings.Join(known, ", "))
 	}
-	t := ctor()
+	t := from(e)
 	if t == nil {
 		return nil, fmt.Errorf("target: constructor for machine %q returned nil", name)
 	}
@@ -66,7 +91,16 @@ func Lookup(name string) (Target, error) {
 // MustLookup is Lookup for names known to be registered; it panics on
 // error.
 func MustLookup(name string) Target {
-	t, err := Lookup(name)
+	return must(Lookup(name))
+}
+
+// MustShared is Shared for names known to be registered; it panics on
+// error.
+func MustShared(name string) Target {
+	return must(Shared(name))
+}
+
+func must(t Target, err error) Target {
 	if err != nil {
 		panic(err)
 	}

@@ -1,7 +1,10 @@
 package target
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sx4bench/internal/sx4/prog"
@@ -38,8 +41,17 @@ func (s *stub) Spec() Spec {
 func (s *stub) Fingerprint() uint64 { return s.fp }
 func (s *stub) Clone() Target       { c := *s; return &c }
 
-func TestRegistryLookup(t *testing.T) {
+// registerStubs adds the stub machines to the process-global registry
+// once per process, so the tests here pass again under -count.
+var registerStubs = sync.OnceFunc(func() {
 	Register("test-stub-a", func() Target { return &stub{name: "Stub A", fp: 1} })
+	Register("test-stub-norm", func() Target { return &stub{name: "Stub Norm", fp: 9} })
+	Register("test-stub-z", func() Target { return &stub{name: "Stub Z", fp: 2} })
+	Register("test-stub-m", func() Target { return &stub{name: "Stub M", fp: 3} })
+})
+
+func TestRegistryLookup(t *testing.T) {
+	registerStubs()
 
 	got, err := Lookup("test-stub-a")
 	if err != nil {
@@ -64,7 +76,7 @@ func TestLookupNormalization(t *testing.T) {
 	// CLI -machine flags arrive hand-typed and copy-pasted; every
 	// casing and whitespace variant of a registered name must resolve
 	// to the same machine, through Lookup and MustLookup alike.
-	Register("test-stub-norm", func() Target { return &stub{name: "Stub Norm", fp: 9} })
+	registerStubs()
 
 	for _, name := range []string{
 		"TEST-STUB-NORM",
@@ -119,8 +131,7 @@ func TestRegistryUnknown(t *testing.T) {
 }
 
 func TestRegistryAll(t *testing.T) {
-	Register("test-stub-z", func() Target { return &stub{name: "Stub Z", fp: 2} })
-	Register("test-stub-m", func() Target { return &stub{name: "Stub M", fp: 3} })
+	registerStubs()
 	all := All()
 	zi, mi := -1, -1
 	for i, n := range all {
@@ -153,8 +164,8 @@ func TestRegisterPanics(t *testing.T) {
 		{"reserved all", func() { Register("all", func() Target { return nil }) }},
 		{"nil ctor", func() { Register("test-stub-nilctor", nil) }},
 		{"duplicate", func() {
-			Register("test-stub-dup", func() Target { return &stub{} })
-			Register("Test-Stub-Dup", func() Target { return &stub{} })
+			registerStubs()
+			Register("Test-Stub-A", func() Target { return &stub{} })
 		}},
 	} {
 		func() {
@@ -169,12 +180,84 @@ func TestRegisterPanics(t *testing.T) {
 }
 
 func TestMustLookupPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup of unknown name did not panic")
+	for name, must := range map[string]func(string) Target{"MustLookup": MustLookup, "MustShared": MustShared} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of unknown name did not panic", name)
+				}
+			}()
+			must("no-such-machine")
+		}()
+	}
+}
+
+func TestSharedIsOneInstance(t *testing.T) {
+	registerStubs()
+	want, err := Shared("test-stub-a")
+	if err != nil {
+		t.Fatalf("Shared: %v", err)
+	}
+	for _, name := range []string{"test-stub-a", "TEST-STUB-A", " Test-Stub-A\t", "\n test-STUB-a "} {
+		if got := MustShared(name); got != want {
+			t.Errorf("Shared(%q) returned a second instance", name)
 		}
-	}()
-	MustLookup("no-such-machine")
+	}
+	if fresh := MustLookup("test-stub-a"); fresh == want {
+		t.Error("Lookup returned the shared instance, want a fresh one")
+	}
+}
+
+func TestSharedUnknownBuildsNothing(t *testing.T) {
+	regMu.RLock()
+	before := len(registry)
+	regMu.RUnlock()
+	_, lerr := Lookup("no-such-machine")
+	got, err := Shared("no-such-machine")
+	if err == nil || got != nil {
+		t.Fatalf("Shared of unknown name = %v, %v; want an error", got, err)
+	}
+	if err.Error() != lerr.Error() {
+		t.Errorf("Shared error %q differs from Lookup's %q", err, lerr)
+	}
+	regMu.RLock()
+	after := len(registry)
+	regMu.RUnlock()
+	if after != before {
+		t.Errorf("registry grew from %d to %d entries", before, after)
+	}
+}
+
+// sharedRuns names each run's counting stub, so the first-call race
+// starts from an unbuilt entry under -count too.
+var sharedRuns atomic.Int64
+
+func TestSharedConcurrentFirstCallsBuildOnce(t *testing.T) {
+	name := fmt.Sprintf("test-stub-once-%d", sharedRuns.Add(1))
+	var builds atomic.Int64
+	Register(name, func() Target {
+		builds.Add(1)
+		return &stub{name: "Stub Once", fp: 4}
+	})
+	const callers = 8
+	got := make([]Target, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = MustShared(name)
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d concurrent first calls built %d instances, want 1", callers, n)
+	}
+	for i, tgt := range got {
+		if tgt != got[0] {
+			t.Errorf("caller %d got a different instance", i)
+		}
+	}
 }
 
 func TestCacheStatsString(t *testing.T) {
