@@ -1,6 +1,7 @@
 // The fleet capacity scaling benchmark: a memo-cold 10 000-scenario
 // Monte Carlo over the canonical fleet, the embarrassingly-parallel
-// workload the capacity engine's ForEachGrain fan-out exists for.
+// workload the capacity engine's fan-out of 8-scenario spans exists
+// for.
 // Sub-benchmarks sweep the worker count over {1, GOMAXPROCS}, never
 // more workers than the host runs at once; each iteration builds a
 // fresh Engine so every scenario simulates cold — a shared memo would

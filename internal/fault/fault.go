@@ -30,9 +30,10 @@ package fault
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -154,7 +155,16 @@ func (p *Plan) Window(from, to float64) []Event {
 	if p == nil {
 		return nil
 	}
-	var out []Event
+	n := 0
+	for _, e := range p.Events {
+		if e.At >= from && e.At < to {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
 	for _, e := range p.Events {
 		if e.At >= from && e.At < to {
 			out = append(out, e)
@@ -191,7 +201,7 @@ func (p *Plan) DegradationAt(t float64) Degradation {
 
 // sortEvents fixes delivery order: ascending At, stable for ties.
 func sortEvents(events []Event) {
-	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 }
 
 // splitmix64 is the SplitMix64 finalizer — the repo's standard
@@ -209,15 +219,26 @@ func splitmix64(x uint64) uint64 {
 // and unit, so the whole scenario is a pure function of (seed,
 // horizon, n) — identical across hosts, worker counts and runs.
 func NewPlan(seed int64, horizon float64, n int) *Plan {
+	p := &Plan{}
+	p.Fill(seed, horizon, n)
+	return p
+}
+
+// Fill overwrites p with the schedule NewPlan(seed, horizon, n)
+// derives, reusing p's event storage.
+func (p *Plan) Fill(seed int64, horizon float64, n int) {
+	p.Seed, p.Events = seed, p.Events[:0]
 	if horizon <= 0 || n <= 0 {
-		return &Plan{Seed: seed}
+		return
 	}
 	state := splitmix64(uint64(seed))
 	next := func() uint64 {
 		state += 0x9e3779b97f4a7c15
 		return splitmix64(state)
 	}
-	p := &Plan{Seed: seed, Events: make([]Event, 0, n)}
+	if cap(p.Events) < n {
+		p.Events = make([]Event, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		u := float64(next()>>11) / (1 << 53) // uniform in [0,1)
 		p.Events = append(p.Events, Event{
@@ -227,7 +248,6 @@ func NewPlan(seed int64, horizon float64, n int) *Plan {
 		})
 	}
 	sortEvents(p.Events)
-	return p
 }
 
 // The canonical fault scenario: the seeded plan behind the golden

@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"sx4bench/internal/superux"
 )
@@ -125,24 +125,43 @@ const (
 // Arrivals generates the mix's deterministic arrival schedule over
 // [0, horizon) seconds: a pure function of (mix, seed, horizon),
 // identical across hosts, worker counts and runs. Draws are consumed
-// from one SplitMix64 stream in a fixed order, then the schedule is
-// stable-sorted by time and named, so the result never depends on
-// generation order internals.
+// from one SplitMix64 stream in a fixed order; the schedule comes out
+// stably ordered by time and is then named.
 func (m Mix) Arrivals(seed int64, horizon float64) []Arrival {
+	return m.appendArrivals(nil, seed, horizon)
+}
+
+// appendArrivals is Arrivals writing into out's storage, which it
+// overwrites.
+func (m Mix) appendArrivals(out []Arrival, seed int64, horizon float64) []Arrival {
 	r := newRand(seed)
-	out := make([]Arrival, 0, m.expectedArrivals(horizon))
+	g := generator{classes: m.Classes, r: r}
+	for _, c := range m.Classes {
+		g.total += c.Weight
+	}
+	out = slices.Grow(out[:0], m.expectedArrivals(horizon))
 	switch m.Pattern {
 	case PatternBurst:
-		out = m.poisson(out, r, horizon, m.PerHour)
+		// The Poisson background comes out in time order, and so do the
+		// bursts; their classes are drawn after the background's. The
+		// bursts are drawn into spare capacity past the background, then
+		// merged in from the back, the background first on equal times.
+		out = g.poisson(out, horizon, m.PerHour)
+		background := len(out)
 		for day := 0.0; day < horizon; day += DaySeconds {
 			for j := 0; j < BurstJobs; j++ {
 				at := day + BurstOffsetSeconds + float64(j)*BurstSpacing
 				if at >= horizon {
 					break
 				}
-				out = append(out, m.classify(r, at))
+				out = g.classify(out, at)
 			}
 		}
+		bursts := len(out) - background
+		out = slices.Grow(out, bursts)[:len(out)+bursts]
+		copy(out[background+bursts:], out[background:background+bursts])
+		mergeTail(out[:background+bursts], background, out[background+bursts:])
+		out = out[:background+bursts]
 	case PatternDiurnal:
 		// Thinning: homogeneous candidates at the peak rate, each kept
 		// with probability rate(t)/peak. Every candidate consumes its
@@ -157,17 +176,33 @@ func (m Mix) Arrivals(seed int64, horizon float64) []Arrival {
 			}
 			rate := m.PerHour * (1 + DiurnalSwing*math.Sin(2*math.Pi*t/DaySeconds))
 			if r.uniform()*peak < rate {
-				out = append(out, m.classify(r, t))
+				out = g.classify(out, t)
 			} else {
 				r.uniform() // class draw burned: kept/dropped candidates cost the same
 			}
 		}
 	default:
-		out = m.poisson(out, r, horizon, m.PerHour)
+		out = g.poisson(out, horizon, m.PerHour)
 	}
-	slices.SortStableFunc(out, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
 	m.label(out)
 	return out
+}
+
+// mergeTail merges two time-ordered runs into out: out[:n] holds the
+// first run, tail the second, and out has room for both. Equal times
+// keep the first run's arrival first, so the result equals a stable
+// sort of the two runs concatenated. tail must not overlap out.
+func mergeTail(out []Arrival, n int, tail []Arrival) {
+	i, j := n-1, len(tail)-1
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && out[i].At > tail[j].At {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = tail[j]
+			j--
+		}
+	}
 }
 
 // expectedArrivals sizes a schedule's backing array: the mean Poisson
@@ -185,26 +220,27 @@ func (m Mix) expectedArrivals(horizon float64) int {
 }
 
 // label names every arrival of a time-sorted schedule
-// "<mix>-<class>-<index>". All names slice one backing string, so the
-// labels cost two allocations per schedule, not one per job. Until
-// label runs, Name carries the job's class.
+// "<mix>-<class>-<index>". All names slice one string, so the labels
+// cost one allocation per schedule, not one per job. Until label runs,
+// Name carries the job's class.
 func (m Mix) label(out []Arrival) {
 	size := 0
 	for i := range out {
 		size += labelLen(m.Name, out[i].Name, i)
 	}
-	buf := make([]byte, 0, size)
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
 	for i := range out {
-		buf = append(buf, m.Name...)
-		buf = append(buf, '-')
-		buf = append(buf, out[i].Name...)
-		buf = append(buf, '-')
-		buf = strconv.AppendInt(buf, int64(i), 10)
-	}
-	names := string(buf)
-	for i := range out {
-		n := labelLen(m.Name, out[i].Name, i)
-		out[i].Name, names = names[:n], names[n:]
+		start := b.Len()
+		b.WriteString(m.Name)
+		b.WriteByte('-')
+		b.WriteString(out[i].Name)
+		b.WriteByte('-')
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		// A Builder never changes bytes already written, so each label
+		// slices the string built so far.
+		out[i].Name = b.String()[start:]
 	}
 }
 
@@ -217,46 +253,47 @@ func labelLen(mix, class string, i int) int {
 	return n
 }
 
+// generator draws one schedule's arrivals from its stream.
+type generator struct {
+	classes []JobClass
+	r       *rand64
+	total   float64 // the classes' summed weight
+}
+
 // poisson appends a homogeneous Poisson process at perHour over the
 // horizon to out.
-func (m Mix) poisson(out []Arrival, r *rand64, horizon, perHour float64) []Arrival {
+func (g *generator) poisson(out []Arrival, horizon, perHour float64) []Arrival {
 	if perHour <= 0 {
 		return out
 	}
 	t := 0.0
 	for {
-		t += r.exp(3600 / perHour)
+		t += g.r.exp(3600 / perHour)
 		if t >= horizon {
 			return out
 		}
-		out = append(out, m.classify(r, t))
+		out = g.classify(out, t)
 	}
 }
 
-// classify draws one weighted job class and shapes an arrival at t.
-// The job's final name is assigned after sorting; until then Name
-// carries the class.
-func (m Mix) classify(r *rand64, t float64) Arrival {
-	total := 0.0
-	for _, c := range m.Classes {
-		total += c.Weight
-	}
-	draw := r.uniform() * total
-	cls := m.Classes[len(m.Classes)-1]
-	for _, c := range m.Classes {
-		if draw < c.Weight {
-			cls = c
+// classify draws one weighted job class and appends an arrival of its
+// shape at t. The job's final name is assigned once the schedule is
+// ordered; until then Name carries the class.
+func (g *generator) classify(out []Arrival, t float64) []Arrival {
+	classes := g.classes
+	draw := g.r.uniform() * g.total
+	cls := &classes[len(classes)-1]
+	for i := range classes {
+		if draw < classes[i].Weight {
+			cls = &classes[i]
 			break
 		}
-		draw -= c.Weight
+		draw -= classes[i].Weight
 	}
-	return Arrival{
-		At:        t,
-		Name:      cls.Name,
-		CPUs:      cls.CPUs,
-		MemGB:     cls.MemGB,
-		WorkMFLOP: cls.WorkMFLOP,
-	}
+	out = append(out, Arrival{})
+	a := &out[len(out)-1]
+	a.At, a.Name, a.CPUs, a.MemGB, a.WorkMFLOP = t, cls.Name, cls.CPUs, cls.MemGB, cls.WorkMFLOP
+	return out
 }
 
 // CanonicalClasses is the fleet generalization of PRODLOAD's job

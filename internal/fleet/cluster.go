@@ -13,6 +13,9 @@ import (
 type Node struct {
 	Spec NodeSpec
 	Sys  *superux.System
+
+	plan    fault.Plan             // the node's fault schedule, redrawn on reset
+	migrate func(superux.Job) bool // the node's migrator, bound to its index once
 }
 
 // Cluster stands N nodes behind one NQS-style queue: arrivals are
@@ -26,6 +29,8 @@ type Cluster struct {
 
 	jobs    []jobRecord
 	pending []pendingMigration
+	nextAt  []float64 // each node's next event time, +Inf for none
+	lat     []float64 // Result.Latencies' backing storage
 }
 
 // jobRecord is the cluster-level life of one arrival.
@@ -50,16 +55,36 @@ type pendingMigration struct {
 // eventsPerNode == 0 builds a fault-free fleet.
 func NewCluster(specs []NodeSpec, fleetSeed int64, horizon float64, eventsPerNode int) *Cluster {
 	c := &Cluster{}
-	for i, ns := range specs {
-		n := &Node{Spec: ns, Sys: newNodeSystem(ns)}
-		if eventsPerNode > 0 {
-			n.Sys.SetInjector(fault.NewNodePlan(fleetSeed, i, horizon, eventsPerNode))
-		}
-		from := i
-		n.Sys.SetMigrator(func(j superux.Job) bool { return c.acceptMigration(from, j) })
-		c.Nodes = append(c.Nodes, n)
-	}
+	c.reset(specs, fleetSeed, horizon, eventsPerNode)
 	return c
+}
+
+// reset makes c the cluster NewCluster(specs, ...) builds, reusing its
+// nodes, their SUPER-UX systems and fault plans, and its buffers; the
+// Latencies of a Result it returned before are overwritten.
+func (c *Cluster) reset(specs []NodeSpec, fleetSeed int64, horizon float64, eventsPerNode int) {
+	nodes := c.Nodes[:cap(c.Nodes)]
+	for i, ns := range specs {
+		if i == len(nodes) {
+			nodes = append(nodes, nil)
+		}
+		n := nodes[i]
+		if n == nil {
+			n = &Node{Sys: &superux.System{}}
+			from := i
+			n.migrate = func(j superux.Job) bool { return c.acceptMigration(from, j) }
+			nodes[i] = n
+		}
+		n.Spec = ns
+		resetNodeSystem(n.Sys, ns)
+		if eventsPerNode > 0 {
+			n.plan.Fill(fault.NodeSeed(fleetSeed, i), horizon, eventsPerNode)
+			n.Sys.SetInjector(&n.plan)
+		}
+		n.Sys.SetMigrator(n.migrate)
+	}
+	c.Nodes = nodes[:len(specs)]
+	c.jobs, c.pending, c.lat = c.jobs[:0], c.pending[:0], c.lat[:0]
 }
 
 // acceptMigration is node from's migrator: accept the homeless job iff
@@ -90,7 +115,9 @@ func (c *Cluster) acceptMigration(from int, j superux.Job) bool {
 func (c *Cluster) bestNode(cpus int, memGB float64, secondsFn func(*Node) float64, skip int) int {
 	best, bestScore := -1, math.Inf(1)
 	for i, n := range c.Nodes {
-		if i == skip || n.Sys.Down() || !n.Sys.CanHold(cpus, memGB) {
+		// CanHold needs a surviving block, so a node whose blocks all
+		// failed never passes.
+		if i == skip || !n.Sys.CanHold(cpus, memGB) {
 			continue
 		}
 		score := n.Sys.Backlog()/float64(n.Spec.CPUs) + secondsFn(n)
@@ -104,7 +131,7 @@ func (c *Cluster) bestNode(cpus int, memGB float64, secondsFn func(*Node) float6
 // secondsOn converts an arrival's demand into a duration on a node:
 // fixed Seconds win, otherwise work over the node's aggregate rate for
 // the job's processor allocation.
-func secondsOn(a Arrival, n *Node) float64 {
+func secondsOn(a *Arrival, n *Node) float64 {
 	if a.Seconds > 0 {
 		return a.Seconds
 	}
@@ -136,42 +163,83 @@ type Result struct {
 
 // Run drives the full fleet over an arrival schedule (ascending At)
 // until every node is idle and every fault delivered, then returns the
-// cluster accounting. The loop advances all nodes to the globally
-// earliest pending event — arrival, completion or fault — drains
-// buffered migrations, then dispatches the arrivals due at that time;
-// nodes are always visited in fleet order, so the run is a pure
-// function of (specs, seed, arrivals).
+// cluster accounting. Each step finds the globally earliest pending
+// event — arrival, completion or fault — and advances the nodes that
+// have an event then, in fleet order. Before any cross-node action at
+// that time (placing buffered migrations, dispatching the arrivals
+// due) every node's clock is brought to it, and at the end every clock
+// reads the last event's time. Nodes are always visited in fleet
+// order, so the run is a pure function of (specs, seed, arrivals).
 func (c *Cluster) Run(arrivals []Arrival) Result {
 	c.jobs = slices.Grow(c.jobs, len(arrivals))
-	next := 0
+	c.nextAt = c.nextAt[:0]
+	for _, n := range c.Nodes {
+		c.nextAt = append(c.nextAt, nextEventAt(n.Sys))
+	}
+	next, last := 0, math.Inf(-1)
 	for {
 		t := math.Inf(1)
 		if next < len(arrivals) {
 			t = arrivals[next].At
 		}
-		for _, n := range c.Nodes {
-			if at, ok := n.Sys.NextEventAt(); ok && at < t {
+		for _, at := range c.nextAt {
+			if at < t {
 				t = at
 			}
 		}
 		if math.IsInf(t, 1) {
 			break
 		}
-		for _, n := range c.Nodes {
-			n.Sys.AdvanceUntil(t)
+		last = t
+		for i, n := range c.Nodes {
+			if c.nextAt[i] <= t {
+				n.Sys.AdvanceUntil(t)
+				c.nextAt[i] = nextEventAt(n.Sys)
+			}
 		}
-		c.placeMigrations(t)
+		if len(c.pending) == 0 && (next == len(arrivals) || arrivals[next].At > t) {
+			continue
+		}
+		c.syncClocks(t)
+		c.placeMigrations()
 		for next < len(arrivals) && arrivals[next].At <= t {
-			c.dispatch(arrivals[next])
+			c.dispatch(&arrivals[next])
 			next++
 		}
 	}
+	c.syncClocks(last)
 	return c.summarize()
+}
+
+// nextEventAt is sys.NextEventAt with +Inf for no pending event.
+func nextEventAt(sys *superux.System) float64 {
+	if at, ok := sys.NextEventAt(); ok {
+		return at
+	}
+	return math.Inf(1)
+}
+
+// syncClocks brings every node's clock up to t. It runs once the due
+// nodes have advanced, so no node has an event at or before t, and
+// setting the clock is all AdvanceUntil(t) would do.
+func (c *Cluster) syncClocks(t float64) {
+	for _, n := range c.Nodes {
+		if n.Sys.Clock < t {
+			n.Sys.Clock = t
+		}
+	}
+}
+
+// submit places a job on node i and refreshes the node's next event.
+func (c *Cluster) submit(i int, j superux.Job) int {
+	id := c.Nodes[i].Sys.Submit(j)
+	c.nextAt[i] = nextEventAt(c.Nodes[i].Sys)
+	return id
 }
 
 // dispatch routes one arrival onto the fleet, or records it failed
 // when no live node can hold its shape.
-func (c *Cluster) dispatch(a Arrival) {
+func (c *Cluster) dispatch(a *Arrival) {
 	rec := len(c.jobs)
 	c.jobs = append(c.jobs, jobRecord{submitAt: a.At, node: -1})
 	node := c.bestNode(a.CPUs, a.MemGB, func(n *Node) float64 { return secondsOn(a, n) }, -1)
@@ -183,7 +251,7 @@ func (c *Cluster) dispatch(a Arrival) {
 	if !ok {
 		return
 	}
-	id := n.Sys.Submit(superux.Job{
+	id := c.submit(node, superux.Job{
 		Name:     a.Name,
 		Block:    block,
 		CPUs:     a.CPUs,
@@ -195,12 +263,13 @@ func (c *Cluster) dispatch(a Arrival) {
 	c.jobs[rec].localID = id
 }
 
-// placeMigrations resubmits every buffered migration at time t: the
-// job's checkpointed remaining work (restart overhead included) lands
-// on the best surviving node, or the record fails fleet-wide if the
-// last candidate died since acceptance. Placement order is acceptance
-// order — itself deterministic because nodes advance in fleet order.
-func (c *Cluster) placeMigrations(t float64) {
+// placeMigrations resubmits every buffered migration at the current
+// time: the job's checkpointed remaining work (restart overhead
+// included) lands on the best surviving node, or the record fails
+// fleet-wide if the last candidate died since acceptance. Placement
+// order is acceptance order — itself deterministic because nodes
+// advance in fleet order.
+func (c *Cluster) placeMigrations() {
 	for len(c.pending) > 0 {
 		batch := c.pending
 		c.pending = nil
@@ -217,7 +286,7 @@ func (c *Cluster) placeMigrations(t float64) {
 				rec.node = -1
 				continue
 			}
-			id := n.Sys.Submit(superux.Job{
+			id := c.submit(node, superux.Job{
 				Name:     p.job.Name,
 				Block:    block,
 				CPUs:     p.job.CPUs,
@@ -236,17 +305,19 @@ func (c *Cluster) placeMigrations(t float64) {
 // walking records in arrival order (never a map).
 func (c *Cluster) summarize() Result {
 	res := Result{Jobs: len(c.jobs)}
+	start := len(c.lat)
+	c.lat = slices.Grow(c.lat, len(c.jobs))
 	for i := range c.jobs {
 		rec := &c.jobs[i]
 		if rec.node < 0 {
 			res.Failed++
 			continue
 		}
-		j := c.Nodes[rec.node].Sys.Jobs[rec.localID]
+		j, _ := c.Nodes[rec.node].Sys.Job(rec.localID)
 		switch j.State {
 		case superux.Done:
 			res.Finished++
-			res.Latencies = append(res.Latencies, j.FinishAt-rec.submitAt)
+			c.lat = append(c.lat, j.FinishAt-rec.submitAt)
 			if j.FinishAt > res.Makespan {
 				res.Makespan = j.FinishAt
 			}
@@ -258,6 +329,9 @@ func (c *Cluster) summarize() Result {
 		default:
 			res.Lost++
 		}
+	}
+	if len(c.lat) > start {
+		res.Latencies = slices.Clip(c.lat[start:])
 	}
 	return res
 }

@@ -68,7 +68,16 @@ type NodeSpec struct {
 // nodes and one C90. The expanded node list is returned in
 // specification order, which is the fleet's canonical node order.
 func ParseSpec(spec string) ([]NodeSpec, error) {
-	var nodes []NodeSpec
+	// Resolve every entry first, so the node list is sized once. The
+	// buffer holds the usual handful of entries without a heap
+	// allocation.
+	type resolved struct {
+		node  NodeSpec
+		count int
+	}
+	var buf [8]resolved
+	parsed := buf[:0]
+	total := 0
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -87,13 +96,17 @@ func ParseSpec(spec string) ([]NodeSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: spec %q: %w", spec, err)
 		}
-		ns := specOf(strings.ToLower(strings.TrimSpace(name)), tgt)
-		for i := 0; i < count; i++ {
-			nodes = append(nodes, ns)
-		}
+		parsed = append(parsed, resolved{specOf(strings.ToLower(strings.TrimSpace(name)), tgt), count})
+		total += count
 	}
-	if len(nodes) > maxFleetNodes {
-		return nil, fmt.Errorf("fleet: %d nodes exceeds the %d-node cap", len(nodes), maxFleetNodes)
+	if total > maxFleetNodes {
+		return nil, fmt.Errorf("fleet: %d nodes exceeds the %d-node cap", total, maxFleetNodes)
+	}
+	nodes := make([]NodeSpec, 0, total)
+	for _, r := range parsed {
+		for range r.count {
+			nodes = append(nodes, r.node)
+		}
 	}
 	return nodes, nil
 }
@@ -126,20 +139,19 @@ func specOf(name string, tgt target.Target) NodeSpec {
 	}
 }
 
-// newNodeSystem stands up the SUPER-UX instance for one node: the
+// resetNodeSystem makes sys the SUPER-UX instance for one node: the
 // PRODLOAD resource-block geometry generalized — nodes with eight or
 // more processors split into a large batch block and a small
 // interactive-sized one (so a CPU failure degrades the node before
 // killing it), smaller nodes run a single block.
-func newNodeSystem(ns NodeSpec) *superux.System {
+func resetNodeSystem(sys *superux.System, ns NodeSpec) {
 	if ns.CPUs >= 8 {
 		aux := ns.CPUs / 4
-		return superux.NewSystem(
+		sys.Reset(
 			superux.ResourceBlock{Name: "rb0", MaxCPUs: ns.CPUs - aux, MemGB: ns.MemGB * 0.75, Policy: superux.FIFO},
 			superux.ResourceBlock{Name: "rb1", MaxCPUs: aux, MemGB: ns.MemGB * 0.25, Policy: superux.FIFO},
 		)
+		return
 	}
-	return superux.NewSystem(
-		superux.ResourceBlock{Name: "rb0", MaxCPUs: ns.CPUs, MemGB: ns.MemGB, Policy: superux.FIFO},
-	)
+	sys.Reset(superux.ResourceBlock{Name: "rb0", MaxCPUs: ns.CPUs, MemGB: ns.MemGB, Policy: superux.FIFO})
 }

@@ -33,6 +33,14 @@ func TestParseSpecExpandsAndOrders(t *testing.T) {
 	if nodes[0].Fingerprint == 0 || nodes[0].Fingerprint == nodes[2].Fingerprint {
 		t.Fatal("node fingerprints missing or colliding")
 	}
+	// More entries than ParseSpec resolves without a heap buffer.
+	many, err := ParseSpec(strings.Repeat("j90,c90x2,", 6) + "sx4-32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(many) != 19 || many[0].Machine != "j90" || many[2].Machine != "c90" || many[18].Machine != "sx4-32" {
+		t.Fatalf("13-entry spec expanded wrong: %d nodes", len(many))
+	}
 }
 
 func TestParseSpecRejections(t *testing.T) {
@@ -43,6 +51,7 @@ func TestParseSpecRejections(t *testing.T) {
 		"sx4-32x0",
 		"sx4-32x100000",
 		"c90x65",
+		strings.Repeat("c90x8,", 9) + "c90", // 73 nodes over ten entries
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)
@@ -57,7 +66,8 @@ func TestParseSpecRejections(t *testing.T) {
 
 // TestParseSpecResolvesOnce pins the shared-instance route: concurrent
 // parses are safe, rejected specs fail, a warm parse builds no machine
-// (15 allocations when every parse looked its names up), and every
+// (15 allocations when every parse looked its names up) and sizes its
+// node list once (4 allocations when it grew by append), and every
 // node equals the spec a fresh registry lookup yields.
 func TestParseSpecResolvesOnce(t *testing.T) {
 	var wg sync.WaitGroup
@@ -81,8 +91,8 @@ func TestParseSpecResolvesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("warm ParseSpec = %v allocations, want at most 4", allocs)
+	if allocs > 2 {
+		t.Errorf("warm ParseSpec = %v allocations, want at most 2 (the split and the node list)", allocs)
 	}
 	for _, name := range target.All() {
 		nodes, err := ParseSpec(strings.ToUpper(name))
@@ -140,9 +150,10 @@ func TestScenarioDerivationCoversTheProduct(t *testing.T) {
 
 func TestClusterRunDeterministicAndNothingLost(t *testing.T) {
 	cfg := canonicalTestConfig(t, 12).withDefaults()
+	shared := new(workspace)
 	for i := 0; i < 12; i++ {
 		sc := cfg.ScenarioAt(i)
-		a, b := cfg.simulate(sc), cfg.simulate(sc)
+		a, b := cfg.simulate(sc, new(workspace)), cfg.simulate(sc, shared)
 		if a != b {
 			t.Fatalf("scenario %d not deterministic:\n%+v\n%+v", i, a, b)
 		}
@@ -167,9 +178,9 @@ func TestClusterMigratesAcrossNodes(t *testing.T) {
 	// actually fire: with six fault events per node per week, some
 	// scenario checkpoints a job off a failing block onto another node.
 	cfg := canonicalTestConfig(t, 16).withDefaults()
-	recovered := 0
+	recovered, ws := 0, new(workspace)
 	for i := 0; i < 16; i++ {
-		recovered += cfg.simulate(cfg.ScenarioAt(i)).Recovered
+		recovered += cfg.simulate(cfg.ScenarioAt(i), ws).Recovered
 	}
 	if recovered == 0 {
 		t.Fatal("no job recovered across 16 canonical scenarios — migration or checkpoint-requeue is dead")

@@ -107,17 +107,31 @@ type ScenarioResult struct {
 	Lost          int
 }
 
-// simulate runs one scenario cold: build the (possibly degraded)
+// workspace is the storage one span of Monte Carlo scenarios reuses:
+// a cluster with its nodes' SUPER-UX systems and fault plans, the
+// arrival schedule, and the degraded fleet's node list. Each scenario
+// resets what the previous one left, so after the span's first
+// scenario a simulation allocates little; the workspace is dropped
+// with the span.
+type workspace struct {
+	cluster  Cluster
+	arrivals []Arrival
+	specs    []NodeSpec
+}
+
+// simulate runs one scenario in ws: reset the (possibly degraded)
 // fleet, derive per-node fault plans from the scenario's fault seed,
-// generate the mix's arrivals, and drain the cluster.
-func (c Config) simulate(sc Scenario) ScenarioResult {
+// generate the mix's arrivals, and drain the cluster — the same steps
+// as NewCluster(...).Run(Mix.Arrivals(...)), on reused storage.
+func (c Config) simulate(sc Scenario, ws *workspace) ScenarioResult {
 	specs := c.Nodes
 	if sc.Down >= 0 && sc.Down < len(specs) {
-		specs = append(append([]NodeSpec(nil), specs[:sc.Down]...), specs[sc.Down+1:]...)
+		ws.specs = append(append(ws.specs[:0], specs[:sc.Down]...), specs[sc.Down+1:]...)
+		specs = ws.specs
 	}
-	cluster := NewCluster(specs, sc.FaultSeed, WeekSeconds, DefaultFaultEventsPerNode)
-	arrivals := c.Mixes[sc.Mix].Arrivals(sc.ArrivalSeed, WeekSeconds)
-	res := cluster.Run(arrivals)
+	ws.cluster.reset(specs, sc.FaultSeed, WeekSeconds, DefaultFaultEventsPerNode)
+	ws.arrivals = c.Mixes[sc.Mix].appendArrivals(ws.arrivals, sc.ArrivalSeed, WeekSeconds)
+	res := ws.cluster.Run(ws.arrivals)
 	ps := core.Percentiles(res.Latencies, 50, 95, 99)
 	return ScenarioResult{
 		Mix:       sc.Mix,
@@ -212,6 +226,10 @@ type Engine struct {
 	memo target.FPCache[ScenarioResult]
 }
 
+// scenarioSpan is how many consecutive scenarios one pool handoff
+// runs, in one workspace.
+const scenarioSpan = 8
+
 // scenarioEntryBytes is one memo entry's cost against a budget: a map
 // slot holding the fingerprint and the 88-byte ScenarioResult, which
 // measured 136–213 B per entry in maps of 300 to 100 000 entries
@@ -239,13 +257,21 @@ func (e *Engine) MonteCarlo(cfg Config, workers int) (Report, error) {
 		return Report{}, err
 	}
 	results := make([]ScenarioResult, cfg.Scenarios)
-	// Scenarios are milliseconds each; batch them so the pool pays one
-	// handoff per span, not per scenario.
-	sched.ForEachGrain(workers, cfg.Scenarios, 8, func(i int) error {
-		sc := cfg.ScenarioAt(i)
-		results[i] = e.memo.LoadOrStore(cfg.fingerprint(sc), func() ScenarioResult {
-			return cfg.simulate(sc)
-		})
+	// A scenario takes about a tenth of a millisecond; batch them so
+	// the pool pays one handoff per span, not per scenario. Each span
+	// simulates in one workspace, built on its first memo miss.
+	spans := (cfg.Scenarios + scenarioSpan - 1) / scenarioSpan
+	sched.ForEach(workers, spans, func(span int) error {
+		var ws *workspace
+		for i := span * scenarioSpan; i < min((span+1)*scenarioSpan, cfg.Scenarios); i++ {
+			sc := cfg.ScenarioAt(i)
+			results[i] = e.memo.LoadOrStore(cfg.fingerprint(sc), func() ScenarioResult {
+				if ws == nil {
+					ws = new(workspace)
+				}
+				return cfg.simulate(sc, ws)
+			})
+		}
 		return nil
 	})
 	return aggregate(cfg, results), nil

@@ -12,8 +12,8 @@ import (
 // its completed jobs.
 func nodeLastCompletion(sys *superux.System) float64 {
 	last := 0.0
-	for _, j := range sys.Jobs {
-		if j.State == superux.Done && j.FinishAt > last {
+	for id := 1; id <= sys.NumJobs(); id++ {
+		if j, _ := sys.Job(id); j.State == superux.Done && j.FinishAt > last {
 			last = j.FinishAt
 		}
 	}

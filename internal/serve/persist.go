@@ -68,12 +68,11 @@ func (s *Server) Snapshot() *Snapshot {
 		sn.Entries[fp] = body
 		return true
 	})
-	for _, name := range target.All() {
-		ms := target.MustShared(name).CacheStats()
-		if ms.Hits+ms.Misses > 0 {
+	target.EachShared(func(name string, tgt target.Target) {
+		if ms := tgt.CacheStats(); ms.Hits+ms.Misses > 0 {
 			sn.Memo = append(sn.Memo, MemoStat{Target: name, Hits: ms.Hits, Misses: ms.Misses})
 		}
-	}
+	})
 	// Fold in the books inherited from earlier lives, so a chain of
 	// restarts keeps one continuous ledger.
 	sn.Memo = append(sn.Memo, s.restoredMemo...)

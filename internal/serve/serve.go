@@ -288,12 +288,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.CapacityScenariosRun = cs.Misses
 	st.CapacityScenarioHits = cs.Hits
 	st.CapacityScenarioEvictions = cs.Evictions
-	for _, name := range target.All() {
-		ms := target.MustShared(name).CacheStats()
+	// A machine nobody has asked for is unbuilt and has no books.
+	target.EachShared(func(_ string, tgt target.Target) {
+		ms := tgt.CacheStats()
 		st.MemoHits += ms.Hits
 		st.MemoMisses += ms.Misses
 		st.MemoEntries += ms.Entries
-	}
+	})
 	for _, m := range s.restoredMemo {
 		st.MemoHits += m.Hits
 		st.MemoMisses += m.Misses

@@ -2,6 +2,7 @@ package superux
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"sx4bench/internal/fault"
@@ -23,26 +24,33 @@ func (s *System) SetInjector(inj fault.Injector) {
 	s.scheduleLoaded = false
 }
 
-// nextFault returns the earliest schedule event not yet delivered.
-func (s *System) nextFault() (fault.Event, bool) {
-	if s.injector == nil {
-		return fault.Event{}, false
-	}
+// nextFaultAt returns the delivery time of the earliest schedule event
+// not yet delivered.
+func (s *System) nextFaultAt() (float64, bool) {
 	if !s.scheduleLoaded {
-		s.schedule = s.injector.Window(0, math.Inf(1))
-		s.scheduleLoaded = true
+		s.loadSchedule()
 	}
 	if s.faultsDelivered >= len(s.schedule) {
-		return fault.Event{}, false
+		return 0, false
 	}
-	return s.schedule[s.faultsDelivered], true
+	return s.schedule[s.faultsDelivered].At, true
 }
 
-// deliverFault applies one schedule event to the scheduler. CPU
-// failures take down a resource block and recover its jobs onto the
-// survivors; job kills checkpoint and requeue the victim; bank and IOP
-// events degrade only the machine models, not the scheduler.
-func (s *System) deliverFault(e fault.Event) {
+// loadSchedule caches the attached injector's whole event window.
+func (s *System) loadSchedule() {
+	if s.injector != nil {
+		s.schedule = s.injector.Window(0, math.Inf(1))
+	}
+	s.scheduleLoaded = true
+}
+
+// deliverFault applies the next undelivered schedule event (callers
+// have seen nextFaultAt report one) to the scheduler. CPU failures
+// take down a resource block and recover its jobs onto the survivors;
+// job kills checkpoint and requeue the victim; bank and IOP events
+// degrade only the machine models, not the scheduler.
+func (s *System) deliverFault() {
+	e := &s.schedule[s.faultsDelivered]
 	if e.At > s.Clock {
 		s.Clock = e.At
 	}
@@ -62,23 +70,23 @@ func (s *System) deliverFault(e fault.Event) {
 // dropped. With no surviving block the event is a no-op (the machine
 // is already gone).
 func (s *System) failBlock(unit int) {
-	var surviving []*ResourceBlock
-	for _, b := range s.blocks {
+	var surviving []int
+	for i, b := range s.blocks {
 		if !b.Failed {
-			surviving = append(surviving, b)
+			surviving = append(surviving, i)
 		}
 	}
 	if len(surviving) == 0 {
 		return
 	}
 	victim := surviving[unit%len(surviving)]
-	victim.Failed = true
+	s.blocks[victim].Failed = true
 
 	// Checkpoint the block's running jobs (ascending ID for
 	// determinism), freeing their resources.
 	var running []int
 	for _, id := range s.active {
-		if s.Jobs[id].Block == victim.Name {
+		if s.slot(id).blk == victim {
 			running = append(running, id)
 		}
 	}
@@ -87,17 +95,18 @@ func (s *System) failBlock(unit int) {
 		s.checkpointJob(id)
 	}
 	// Rebind every job still queued on the failed block (the
-	// checkpointed ones are among them now).
+	// checkpointed ones are among them now), in queue order with the
+	// checkpointed jobs last.
 	for _, id := range append([]int(nil), s.queue...) {
-		j := s.Jobs[id]
-		if j.Block != victim.Name {
+		j := s.slot(id)
+		if j.blk != victim {
 			continue
 		}
-		if home, ok := s.Home(j.CPUs, j.MemGB); ok {
-			j.Block = home
-			s.log = append(s.log, logEntry{Job: id, Kind: logMoved, Clock: s.Clock, Block: home})
+		if home := s.home(j.CPUs, j.MemGB); home >= 0 {
+			s.bind(j, home)
+			s.log = append(s.log, logEntry{Job: id, Kind: logMoved, Clock: s.Clock, Block: j.Block})
 		} else {
-			s.failJob(j)
+			s.failJob(id)
 		}
 	}
 	s.sortQueue()
@@ -120,22 +129,18 @@ func (s *System) killJob(unit int) {
 
 // checkpointJob stops a running job, converts it to a queued job whose
 // Seconds is the unfinished work plus the restart overhead, and frees
-// its block resources.
+// its block resources. The job joins the queue's tail; the caller
+// restores queue order.
 func (s *System) checkpointJob(id int) {
-	j := s.Jobs[id]
+	j := s.slot(id)
 	remaining := j.FinishAt - s.Clock
 	if remaining < 0 {
 		remaining = 0
 	}
-	blk := s.Blocks[j.Block]
+	blk := s.blocks[j.blk]
 	blk.usedCPUs -= j.CPUs
 	blk.usedMem -= j.MemGB
-	for i, a := range s.active {
-		if a == id {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
+	s.deactivate(id)
 	j.State = Queued
 	j.Seconds = remaining + RestartOverheadSeconds
 	j.Restarts++
@@ -149,25 +154,21 @@ func (s *System) checkpointJob(id int) {
 // hold: the installed migrator (if any) is offered the job first —
 // acceptance makes the job Migrated, terminal here, continued
 // elsewhere by the fleet layer — and otherwise the job is reported
-// Failed. Both outcomes remove it from the queue but keep it in Jobs
-// with its state and qcat history intact, so no submission is ever
-// silently dropped.
-func (s *System) failJob(j *Job) {
-	for i, id := range s.queue {
-		if id == j.ID {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			break
-		}
+// Failed. Both outcomes remove it from the queue but keep it in the
+// job table with its state and qcat history intact, so no submission
+// is ever silently dropped.
+func (s *System) failJob(id int) {
+	if i := slices.Index(s.queue, id); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
 	}
-	if s.migrator != nil && s.migrator(*j) {
-		j.State = Migrated
-		j.FinishAt = s.Clock
-		s.log = append(s.log, logEntry{Job: j.ID, Kind: logMigrated, Clock: s.Clock})
-		return
+	state, kind := Failed, logFailed
+	if s.migrator != nil && s.migrator(s.slot(id).Job) {
+		state, kind = Migrated, logMigrated
 	}
-	j.State = Failed
+	j := s.slot(id)
+	j.State = state
 	j.FinishAt = s.Clock
-	s.log = append(s.log, logEntry{Job: j.ID, Kind: logFailed, Clock: s.Clock})
+	s.log = append(s.log, logEntry{Job: id, Kind: kind, Clock: s.Clock})
 }
 
 // AdvanceUntil runs the event loop up to simulated time t: completions
@@ -178,17 +179,16 @@ func (s *System) failJob(j *Job) {
 // takes down.
 func (s *System) AdvanceUntil(t float64) float64 {
 	for {
-		next := -1
-		dueCompletion := false
+		next, doneAt := 0, 0.0
 		if len(s.active) > 0 {
 			next = s.nextCompletion()
-			dueCompletion = s.Jobs[next].FinishAt <= t
+			doneAt = s.slot(next).FinishAt
 		}
-		e, ok := s.nextFault()
-		dueFault := ok && e.At <= t
+		dueCompletion := next != 0 && doneAt <= t
+		faultAt, ok := s.nextFaultAt()
 		switch {
-		case dueFault && (!dueCompletion || e.At < s.Jobs[next].FinishAt):
-			s.deliverFault(e)
+		case ok && faultAt <= t && (!dueCompletion || faultAt < doneAt):
+			s.deliverFault()
 		case dueCompletion:
 			s.complete(next)
 		default:
@@ -206,8 +206,8 @@ func (s *System) AdvanceUntil(t float64) float64 {
 // in neither a terminal nor a schedulable state — the count the
 // no-lost-jobs invariant pins to zero.
 func (s *System) Tally() (recovered, failed, lost int) {
-	for _, j := range s.Jobs {
-		switch {
+	for id := 1; id <= s.nextID; id++ {
+		switch j := s.slot(id); {
 		case j.State == Done && j.Restarts > 0:
 			recovered++
 		case j.State == Failed:
@@ -218,15 +218,10 @@ func (s *System) Tally() (recovered, failed, lost int) {
 			// here.
 		case j.State != Done && j.State != Queued && j.State != Running:
 			lost++
-		}
-	}
-	// Jobs still queued or running after the system idled are equally
-	// lost: nothing will ever schedule them.
-	if len(s.active) == 0 {
-		for _, j := range s.Jobs {
-			if j.State == Queued || j.State == Running {
-				lost++
-			}
+		case len(s.active) == 0 && (j.State == Queued || j.State == Running):
+			// Jobs still queued or running after the system idled are
+			// equally lost: nothing will ever schedule them.
+			lost++
 		}
 	}
 	return recovered, failed, lost

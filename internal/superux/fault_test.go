@@ -43,7 +43,7 @@ func TestCPUFailRecoversOntoSurvivingBlock(t *testing.T) {
 	id := s.Submit(Job{Name: "long", Block: "batch", CPUs: 4, MemGB: 8, Seconds: 30})
 	end := s.Advance()
 
-	j := s.Jobs[id]
+	j := jobAt(s, id)
 	if j.State != Done {
 		t.Fatalf("job state = %v, want done", j.State)
 	}
@@ -81,7 +81,7 @@ func TestCPUFailLastBlockReportsFailedNeverLost(t *testing.T) {
 	wait := s.Submit(Job{Name: "wait", Block: "only", CPUs: 8, MemGB: 8, Seconds: 20})
 	s.Advance()
 	for _, id := range []int{run, wait} {
-		if got := s.Jobs[id].State; got != Failed {
+		if got := jobAt(s, id).State; got != Failed {
 			t.Errorf("job %d state = %v, want failed", id, got)
 		}
 	}
@@ -91,7 +91,7 @@ func TestCPUFailLastBlockReportsFailedNeverLost(t *testing.T) {
 	}
 	// Submissions after the machine is gone are reported failed too.
 	late := s.Submit(Job{Name: "late", Block: "only", CPUs: 1, MemGB: 1, Seconds: 1})
-	if got := s.Jobs[late].State; got != Failed {
+	if got := jobAt(s, late).State; got != Failed {
 		t.Errorf("late submission state = %v, want failed", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestJobKillCheckpointsAndRestarts(t *testing.T) {
 	s.SetInjector(&fault.Plan{Events: []fault.Event{{At: 12, Kind: fault.JobKill, Unit: 0}}})
 	id := s.Submit(Job{Name: "victim", Block: "b", CPUs: 4, MemGB: 4, Seconds: 40})
 	end := s.Advance()
-	j := s.Jobs[id]
+	j := jobAt(s, id)
 	if j.State != Done || j.Restarts != 1 {
 		t.Fatalf("state=%v restarts=%d, want done/1", j.State, j.Restarts)
 	}
@@ -119,7 +119,7 @@ func TestJobKillWithNothingRunningIsNoop(t *testing.T) {
 		t.Errorf("clock = %v, want 5", s.Clock)
 	}
 	// The event was consumed, not left pending.
-	if _, ok := s.nextFault(); ok {
+	if _, ok := s.nextFaultAt(); ok {
 		t.Error("no-op kill left the event pending")
 	}
 }
@@ -131,7 +131,7 @@ func TestCompletionWinsTieWithFault(t *testing.T) {
 	s.SetInjector(&fault.Plan{Events: []fault.Event{{At: 10, Kind: fault.JobKill, Unit: 0}}})
 	id := s.Submit(Job{Name: "j", Block: "b", CPUs: 1, MemGB: 1, Seconds: 10})
 	end := s.Advance()
-	if j := s.Jobs[id]; j.State != Done || j.Restarts != 0 {
+	if j := jobAt(s, id); j.State != Done || j.Restarts != 0 {
 		t.Errorf("state=%v restarts=%d, want done/0 (completion wins the tie)", j.State, j.Restarts)
 	}
 	if end != 10 {
@@ -170,7 +170,7 @@ func TestAdvanceUntilDeliversIdleFaults(t *testing.T) {
 	// A job submitted afterwards lands on the survivor.
 	id := s.Submit(Job{Name: "j", Block: "batch", CPUs: 2, MemGB: 1, Seconds: 5})
 	s.Advance()
-	if j := s.Jobs[id]; j.State != Done || j.Block != "spare" {
+	if j := jobAt(s, id); j.State != Done || j.Block != "spare" {
 		t.Errorf("post-fault submission: state=%v block=%q, want done on spare", j.State, j.Block)
 	}
 }
@@ -194,7 +194,7 @@ func TestCheckpointDoesNotRedeliverFaults(t *testing.T) {
 	}
 	restored.SetInjector(plan)
 	restored.Advance()
-	if j := restored.Jobs[id]; j.Restarts != 1 {
+	if j := jobAt(restored, id); j.Restarts != 1 {
 		t.Errorf("restarts after checkpoint/restart = %d, want 1 (first kill must not redeliver)", j.Restarts)
 	}
 }
@@ -261,6 +261,27 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 		{"log names ghost job", func(s *snapshot) {
 			s.Log = []logEntry{{Job: 7, Kind: logFailed, Clock: 3}}
 		}, "does not exist"},
+		{"job id above the counter", func(s *snapshot) {
+			s.Jobs[2] = Job{ID: 2, Name: "k", Block: "b", CPUs: 1, MemGB: 1, Seconds: 1}
+			delete(s.Jobs, 1)
+			s.Queue = nil
+		}, "outside 1..1"},
+		{"job id zero", func(s *snapshot) {
+			s.Jobs[0] = Job{ID: 0, Name: "k", Block: "b", CPUs: 1, MemGB: 1, Seconds: 1}
+			s.NextID = 2
+		}, "outside 1..2"},
+		{"job count below the counter", func(s *snapshot) { s.NextID = 2 }, "job counter says 2"},
+		{"job count above the counter", func(s *snapshot) { s.NextID = 0 }, "job counter says 0"},
+		{"job stored under another id", func(s *snapshot) {
+			j := s.Jobs[1]
+			j.ID = 4
+			s.Jobs[1] = j
+		}, "stored under id"},
+		{"block with bad CPU limits", func(s *snapshot) {
+			s.Blocks["b"] = ResourceBlock{Name: "b", MaxCPUs: 0, MemGB: 32}
+		}, "bad CPU limits"},
+		{"job queued twice", func(s *snapshot) { s.Queue = []int{1, 1} }, "twice"},
+		{"job queued and active", func(s *snapshot) { s.Active = []int{1} }, "twice"},
 		{"log entry of unknown kind", func(s *snapshot) {
 			s.Log = []logEntry{{Job: 1, Kind: logFailed + 1, Clock: 3}}
 		}, "unknown kind"},

@@ -3,10 +3,10 @@ package superux
 // This file is the fleet-node surface of the scheduler: the handful of
 // read-only probes and the migration hook internal/fleet needs to run
 // many Systems side by side behind one NQS-style cluster queue. The
-// event loop itself is untouched — a fleet advances every node with
-// AdvanceUntil to a common simulated time, and these helpers let it
-// pick that time and route work without reaching into unexported
-// state.
+// event loop itself is untouched — a fleet advances each node with
+// AdvanceUntil to the globally earliest event time, and these helpers
+// let it pick that time and route work without reaching into
+// unexported state.
 
 // SetMigrator installs the cluster-level recovery hook: when a fault
 // leaves a job with no surviving resource block on this node, the
@@ -22,31 +22,18 @@ func (s *System) SetMigrator(fn func(Job) bool) { s.migrator = fn }
 // NextEventAt returns the simulated time of the node's next pending
 // event — the earliest of the next job completion and the next
 // undelivered fault — and whether one exists. A fleet driver uses it
-// to advance all nodes to the globally earliest event, which preserves
+// to advance the nodes to the globally earliest event, which preserves
 // the completions-win-ties rule fleet-wide: every node reaches the tie
 // time before any cross-node action is taken at it.
 func (s *System) NextEventAt() (float64, bool) {
 	at, ok := 0.0, false
 	if len(s.active) > 0 {
-		at, ok = s.Jobs[s.nextCompletion()].FinishAt, true
+		at, ok = s.slot(s.nextCompletion()).FinishAt, true
 	}
-	if e, have := s.nextFault(); have && (!ok || e.At < at) {
-		at, ok = e.At, true
+	if fa, have := s.nextFaultAt(); have && (!ok || fa < at) {
+		at, ok = fa, true
 	}
 	return at, ok
-}
-
-// Down reports whether every resource block has failed: the node-level
-// terminal state. A down node schedules nothing ever again — the fleet
-// stops routing work to it, and jobs still aboard can only migrate or
-// fail.
-func (s *System) Down() bool {
-	for _, b := range s.blocks {
-		if !b.Failed {
-			return false
-		}
-	}
-	return true
 }
 
 // Home returns the first surviving resource block (registration
@@ -55,21 +42,26 @@ func (s *System) Down() bool {
 // submits. Like CanHold it is a capacity-class check, not an
 // instantaneous-load check.
 func (s *System) Home(cpus int, memGB float64) (string, bool) {
-	for _, b := range s.blocks {
-		if !b.Failed && cpus <= b.MaxCPUs && memGB <= b.MemGB {
-			return b.Name, true
-		}
+	if i := s.home(cpus, memGB); i >= 0 {
+		return s.blocks[i].Name, true
 	}
 	return "", false
+}
+
+// home is Home as a registration index, -1 when no block fits.
+func (s *System) home(cpus int, memGB float64) int {
+	for i, b := range s.blocks {
+		if !b.Failed && cpus <= b.MaxCPUs && memGB <= b.MemGB {
+			return i
+		}
+	}
+	return -1
 }
 
 // CanHold reports whether some surviving resource block's limits admit
 // a job of the given shape (see Home): a true answer means the job can
 // eventually run here, possibly after queueing.
-func (s *System) CanHold(cpus int, memGB float64) bool {
-	_, ok := s.Home(cpus, memGB)
-	return ok
-}
+func (s *System) CanHold(cpus int, memGB float64) bool { return s.home(cpus, memGB) >= 0 }
 
 // Backlog returns the simulated seconds of work the node still owes:
 // the remaining time of every running job plus the full duration of
@@ -78,12 +70,12 @@ func (s *System) CanHold(cpus int, memGB float64) bool {
 func (s *System) Backlog() float64 {
 	total := 0.0
 	for _, id := range s.active {
-		if remaining := s.Jobs[id].FinishAt - s.Clock; remaining > 0 {
+		if remaining := s.slot(id).FinishAt - s.Clock; remaining > 0 {
 			total += remaining
 		}
 	}
 	for _, id := range s.queue {
-		total += s.Jobs[id].Seconds
+		total += s.slot(id).Seconds
 	}
 	return total
 }

@@ -18,10 +18,12 @@ func TestAllBlocksDownIsTerminal(t *testing.T) {
 	id := s.Submit(Job{Name: "j", Block: "batch", CPUs: 4, MemGB: 8, Seconds: 100})
 	s.Advance()
 
-	if !s.Down() {
-		t.Fatal("both blocks failed but Down() is false")
+	for name, b := range s.Blocks {
+		if !b.Failed {
+			t.Fatalf("block %s survived two CPU failures", name)
+		}
 	}
-	if got := s.Jobs[id].State; got != Failed {
+	if got := jobAt(s, id).State; got != Failed {
 		t.Errorf("homeless job state = %v, want failed", got)
 	}
 	if _, ok := s.NextEventAt(); ok {
@@ -36,7 +38,7 @@ func TestAllBlocksDownIsTerminal(t *testing.T) {
 	// Terminal means terminal: further submissions fail immediately and
 	// nothing is ever lost.
 	late := s.Submit(Job{Name: "late", Block: "batch", CPUs: 1, MemGB: 1, Seconds: 1})
-	if got := s.Jobs[late].State; got != Failed {
+	if got := jobAt(s, late).State; got != Failed {
 		t.Errorf("submission to a down node state = %v, want failed", got)
 	}
 	if _, _, lost := s.Tally(); lost != 0 {
@@ -46,13 +48,13 @@ func TestAllBlocksDownIsTerminal(t *testing.T) {
 
 func TestDownReflectsPartialFailure(t *testing.T) {
 	s := twoBlockSystem()
-	if s.Down() {
-		t.Fatal("healthy node reports Down")
+	if !s.CanHold(1, 0.1) {
+		t.Fatal("healthy node holds nothing")
 	}
 	s.SetInjector(&fault.Plan{Events: []fault.Event{{At: 1, Kind: fault.CPUFail, Unit: 0}}})
 	s.AdvanceUntil(2)
-	if s.Down() {
-		t.Error("node with one surviving block reports Down")
+	if !s.CanHold(1, 0.1) {
+		t.Error("node with one surviving block holds nothing")
 	}
 	if !s.CanHold(8, 64) {
 		t.Error("surviving block's capacity not visible through CanHold")
@@ -75,7 +77,7 @@ func TestMigratorOfferedBeforeFailure(t *testing.T) {
 	id := s.Submit(Job{Name: "movable", Block: "only", CPUs: 4, MemGB: 8, Seconds: 30})
 	s.Advance()
 
-	j := s.Jobs[id]
+	j := jobAt(s, id)
 	if j.State != Migrated {
 		t.Fatalf("state = %v, want migrated", j.State)
 	}
@@ -109,7 +111,7 @@ func TestMigratorDeclineFailsJob(t *testing.T) {
 	s.SetMigrator(func(Job) bool { return false })
 	id := s.Submit(Job{Name: "stuck", Block: "only", CPUs: 4, MemGB: 8, Seconds: 30})
 	s.Advance()
-	if got := s.Jobs[id].State; got != Failed {
+	if got := jobAt(s, id).State; got != Failed {
 		t.Errorf("declined job state = %v, want failed", got)
 	}
 	if _, failed, lost := s.Tally(); failed != 1 || lost != 0 {
@@ -127,7 +129,7 @@ func TestMigratorNotOfferedWhenLocalRecoveryWorks(t *testing.T) {
 	if called {
 		t.Error("migrator consulted although a surviving block could hold the job")
 	}
-	if got := s.Jobs[id].State; got != Done {
+	if got := jobAt(s, id).State; got != Done {
 		t.Errorf("state = %v, want done (local recovery)", got)
 	}
 }
@@ -168,7 +170,7 @@ func TestCheckpointInSameTickAsJobKill(t *testing.T) {
 
 	s, id := mk()
 	s.AdvanceUntil(12) // the kill fires in this very tick
-	if j := s.Jobs[id]; j.Restarts != 1 {
+	if j := jobAt(s, id); j.Restarts != 1 {
 		t.Fatalf("kill not applied before snapshot: restarts = %d", j.Restarts)
 	}
 	snap, err := s.Checkpoint()
@@ -180,14 +182,14 @@ func TestCheckpointInSameTickAsJobKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored.SetInjector(&fault.Plan{Events: []fault.Event{{At: 12, Kind: fault.JobKill, Unit: 0}}})
-	if _, ok := restored.nextFault(); ok {
+	if _, ok := restored.nextFaultAt(); ok {
 		t.Fatal("restored system would redeliver the same-tick kill")
 	}
 	end := restored.Advance()
 	if end != wantEnd {
 		t.Errorf("makespan after same-tick snapshot = %v, want %v", end, wantEnd)
 	}
-	j := restored.Jobs[id]
+	j := jobAt(restored, id)
 	if j.State != Done || j.Restarts != 1 {
 		t.Errorf("state=%v restarts=%d, want done/1", j.State, j.Restarts)
 	}
@@ -201,7 +203,7 @@ func TestCompletionAtFaultTimeWinsOnIdleAdvance(t *testing.T) {
 	s.SetInjector(&fault.Plan{Events: []fault.Event{{At: 10, Kind: fault.JobKill, Unit: 0}}})
 	id := s.Submit(Job{Name: "j", Block: "b", CPUs: 1, MemGB: 1, Seconds: 10})
 	s.AdvanceUntil(10)
-	if j := s.Jobs[id]; j.State != Done || j.Restarts != 0 {
+	if j := jobAt(s, id); j.State != Done || j.Restarts != 0 {
 		t.Errorf("state=%v restarts=%d, want done/0 (completion wins the tie)", j.State, j.Restarts)
 	}
 }

@@ -39,7 +39,7 @@ func TestQuickMakespanBounds(t *testing.T) {
 		// Lower bound: total CPU-work / capacity, and the longest job.
 		var work, longest float64
 		for _, id := range ids {
-			j := s.Jobs[id]
+			j := jobAt(s, id)
 			work += float64(j.CPUs) * j.Seconds
 			if j.Seconds > longest {
 				longest = j.Seconds
@@ -51,7 +51,7 @@ func TestQuickMakespanBounds(t *testing.T) {
 		// Upper bound: fully serial execution.
 		var serial float64
 		for _, id := range ids {
-			serial += s.Jobs[id].Seconds
+			serial += jobAt(s, id).Seconds
 		}
 		return end <= serial+1e-9
 	}
@@ -67,7 +67,7 @@ func TestQuickAllJobsComplete(t *testing.T) {
 		}
 		s, ids, _ := runRandomJobs(specs, Interactive)
 		for _, id := range ids {
-			j := s.Jobs[id]
+			j := jobAt(s, id)
 			if j.State != Done {
 				return false
 			}
@@ -94,10 +94,10 @@ func TestQuickCapacityNeverExceeded(t *testing.T) {
 		// Reconstruct the schedule and check CPU usage at every start
 		// event.
 		for _, probe := range ids {
-			at := s.Jobs[probe].StartAt
+			at := jobAt(s, probe).StartAt
 			used := 0
 			for _, id := range ids {
-				j := s.Jobs[id]
+				j := jobAt(s, id)
 				if j.StartAt <= at && at < j.FinishAt {
 					used += j.CPUs
 				}
@@ -195,8 +195,12 @@ func TestQuickCheckpointCommutesWithFaults(t *testing.T) {
 		}
 		// Every job lands in the same terminal state with the same
 		// recovery history; none is lost in either run.
-		for id, rj := range ref.Jobs {
-			got, ok := restored.Jobs[id]
+		if restored.NumJobs() != ref.NumJobs() {
+			return false
+		}
+		for id := 1; id <= ref.NumJobs(); id++ {
+			rj := jobAt(ref, id)
+			got, ok := restored.Job(id)
 			if !ok || got.State != rj.State || got.Restarts != rj.Restarts ||
 				got.FinishAt != rj.FinishAt || got.Block != rj.Block {
 				return false

@@ -122,14 +122,22 @@ type Complex struct {
 type System struct {
 	Blocks    map[string]*ResourceBlock
 	Complexes map[string]Complex
-	Jobs      map[int]*Job
 
 	Clock  float64
 	nextID int
 	blocks []*ResourceBlock // Blocks' values in registration order (determinism)
-	queue  []int            // queued job IDs in priority+submission order
-	active []int
-	log    []logEntry // qcat lines the jobs' own fields cannot reproduce
+	store  []ResourceBlock  // backing storage for blocks, kept by Reset
+	// jobs is the job table: job id lives at jobs[(id-1)/jobChunk]
+	// [(id-1)%jobChunk]. Submit hands out ids 1, 2, 3 …, so the table
+	// is dense, and fixed-size chunks let it grow without moving a job.
+	jobs    []*[jobChunk]jobSlot
+	queue   []int // queued job IDs in priority+submission order
+	active  []int
+	stalled []bool     // dispatch's per-block FIFO stall flags, by block index
+	log     []logEntry // qcat lines the jobs' own fields cannot reproduce
+	// nextDone caches the active job that completes first (see
+	// nextCompletion); 0 means it must be found again.
+	nextDone int
 
 	// injector is the attached fault schedule (nil = fault-free);
 	// faultsDelivered counts schedule events already applied, so a
@@ -149,34 +157,98 @@ type System struct {
 	migrator func(Job) bool
 }
 
+// jobChunk is the number of jobs in one chunk of the job table.
+const jobChunk = 64
+
+// jobSlot is one job-table entry: the job and the index of its
+// resource block in registration order, kept beside Job.Block so the
+// event loop never looks a block up by name.
+type jobSlot struct {
+	Job
+	blk int
+}
+
 // NewSystem builds a system with the given resource blocks. Block
 // names must be unique and CPU limits positive.
 func NewSystem(blocks ...ResourceBlock) *System {
-	s := &System{
-		Blocks:    map[string]*ResourceBlock{},
-		Complexes: map[string]Complex{},
-		Jobs:      map[int]*Job{},
+	s := &System{}
+	s.Reset(blocks...)
+	return s
+}
+
+// Reset returns the system to the state NewSystem(blocks...) builds —
+// no jobs, no complexes, clock zero, no fault injector or migrator —
+// while keeping its storage for reuse. Block names must be unique and
+// CPU limits positive.
+func (s *System) Reset(blocks ...ResourceBlock) {
+	if s.Blocks == nil {
+		s.Blocks = map[string]*ResourceBlock{}
+		s.Complexes = map[string]Complex{}
+	} else {
+		clear(s.Blocks)
+		clear(s.Complexes)
 	}
-	for _, b := range blocks {
+	if cap(s.store) < len(blocks) {
+		s.store = make([]ResourceBlock, len(blocks))
+	}
+	s.store = s.store[:len(blocks)]
+	s.blocks = s.blocks[:0]
+	for i, b := range blocks {
 		if b.MaxCPUs <= 0 || b.MinCPUs < 0 || b.MinCPUs > b.MaxCPUs {
 			panic(fmt.Sprintf("superux: bad CPU limits in block %q", b.Name))
 		}
 		if _, dup := s.Blocks[b.Name]; dup {
 			panic(fmt.Sprintf("superux: duplicate block %q", b.Name))
 		}
-		rb := b
-		s.Blocks[b.Name] = &rb
-		s.blocks = append(s.blocks, &rb)
+		s.store[i] = b
+		s.Blocks[b.Name] = &s.store[i]
+		s.blocks = append(s.blocks, &s.store[i])
 	}
-	return s
+	s.Clock, s.nextID, s.nextDone = 0, 0, 0
+	s.queue, s.active, s.log = s.queue[:0], s.active[:0], s.log[:0]
+	s.SetInjector(nil)
+	s.faultsDelivered = 0
+	s.migrator = nil
+}
+
+// Job returns a copy of job id, or false when no such job exists.
+func (s *System) Job(id int) (Job, bool) {
+	if id < 1 || id > s.nextID {
+		return Job{}, false
+	}
+	return s.slot(id).Job, true
+}
+
+// NumJobs returns how many jobs were ever submitted: the valid job IDs
+// are 1 through NumJobs().
+func (s *System) NumJobs() int { return s.nextID }
+
+// slot returns job id's table entry. Callers guarantee 1 <= id <=
+// nextID. The entry holds job id until the next Reset: a later Submit
+// adds chunks but never moves one.
+func (s *System) slot(id int) *jobSlot {
+	i := uint(id - 1)
+	return &s.jobs[i/jobChunk][i%jobChunk]
+}
+
+// blockIndex returns the registration index of the named block, or
+// -1.
+func (s *System) blockIndex(name string) int {
+	for i, b := range s.blocks {
+		if b.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Submit enqueues a job and returns its ID.
 func (s *System) Submit(j Job) int {
-	blk, ok := s.Blocks[j.Block]
-	if !ok {
+	bi := s.blockIndex(j.Block)
+	if bi < 0 {
 		panic(fmt.Sprintf("superux: unknown resource block %q", j.Block))
 	}
+	blk := s.blocks[bi]
 	if j.CPUs <= 0 || j.CPUs > blk.MaxCPUs {
 		panic(fmt.Sprintf("superux: job %q requests %d CPUs; block %q allows up to %d",
 			j.Name, j.CPUs, j.Block, blk.MaxCPUs))
@@ -188,32 +260,56 @@ func (s *System) Submit(j Job) int {
 	j.ID = s.nextID
 	j.State = Queued
 	j.SubmitAt = s.Clock
-	s.Jobs[j.ID] = &j
-	s.queue = append(s.queue, j.ID)
+	if i := uint(j.ID - 1); i/jobChunk == uint(len(s.jobs)) {
+		s.jobs = append(s.jobs, new([jobChunk]jobSlot))
+	}
+	sl := s.slot(j.ID)
+	sl.Job, sl.blk = j, bi
 	// A submission against a block a fault already took down is
 	// rebound to a surviving block, or reported failed — not dropped.
 	if blk.Failed {
-		if home, ok := s.Home(j.CPUs, j.MemGB); ok {
-			j.Block = home
-		} else {
-			s.failJob(&j)
+		home := s.home(j.CPUs, j.MemGB)
+		if home < 0 {
+			s.failJob(j.ID)
 			return j.ID
 		}
+		s.bind(sl, home)
 	}
-	s.sortQueue()
+	s.enqueue(j.ID)
 	s.dispatch()
 	return j.ID
 }
 
-func (s *System) sortQueue() {
-	slices.SortStableFunc(s.queue, func(a, b int) int {
-		ja, jb := s.Jobs[a], s.Jobs[b]
-		if c := cmp.Compare(jb.Priority, ja.Priority); c != 0 {
-			return c
-		}
-		return cmp.Compare(ja.ID, jb.ID)
-	})
+// bind moves a job to the block with registration index bi.
+func (s *System) bind(sl *jobSlot, bi int) {
+	sl.blk = bi
+	sl.Block = s.blocks[bi].Name
 }
+
+// queueOrder compares jobs a and b in queue order: higher priority
+// first, then lower ID. The order is total over distinct jobs, so a
+// queue kept in it equals the stable sort of any submission order.
+func (s *System) queueOrder(a, b int) int {
+	if c := cmp.Compare(s.slot(b).Priority, s.slot(a).Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// enqueue inserts job id at its place in the queue, which is already
+// in queue order.
+func (s *System) enqueue(id int) {
+	s.queue = append(s.queue, id)
+	i := len(s.queue) - 1
+	for ; i > 0 && s.queueOrder(id, s.queue[i-1]) < 0; i-- {
+		s.queue[i] = s.queue[i-1]
+	}
+	s.queue[i] = id
+}
+
+// sortQueue restores queue order after fault recovery has appended
+// checkpointed jobs at the tail.
+func (s *System) sortQueue() { slices.SortFunc(s.queue, s.queueOrder) }
 
 // AddComplex registers a queue complex. Member blocks must exist and
 // the run limit must be positive.
@@ -233,24 +329,13 @@ func (s *System) AddComplex(c Complex) {
 // stay inside every complex limit covering that block.
 func (s *System) complexAllows(block string) bool {
 	for _, c := range s.Complexes {
-		member := false
-		for _, b := range c.Blocks {
-			if b == block {
-				member = true
-				break
-			}
-		}
-		if !member {
+		if !slices.Contains(c.Blocks, block) {
 			continue
 		}
 		running := 0
 		for _, id := range s.active {
-			j := s.Jobs[id]
-			for _, b := range c.Blocks {
-				if j.Block == b {
-					running++
-					break
-				}
+			if slices.Contains(c.Blocks, s.slot(id).Block) {
+				running++
 			}
 		}
 		if running >= c.RunLimit {
@@ -263,17 +348,24 @@ func (s *System) complexAllows(block string) bool {
 // dispatch starts every queued job that fits its block's free capacity,
 // respecting each block's policy and every complex run limit.
 func (s *System) dispatch() {
-	blocked := map[string]bool{} // FIFO blocks stalled by their head job
+	if len(s.queue) == 0 {
+		return
+	}
+	if cap(s.stalled) < len(s.blocks) {
+		s.stalled = make([]bool, len(s.blocks))
+	}
+	stalled := s.stalled[:len(s.blocks)] // FIFO blocks stalled by their head job
+	clear(stalled)
 	remaining := s.queue[:0]
 	for _, id := range s.queue {
-		j := s.Jobs[id]
-		blk := s.Blocks[j.Block]
+		j := s.slot(id)
+		blk := s.blocks[j.blk]
 		fits := !blk.Failed &&
 			blk.usedCPUs+j.CPUs <= blk.MaxCPUs && blk.usedMem+j.MemGB <= blk.MemGB &&
-			s.complexAllows(j.Block)
-		if blocked[j.Block] || !fits {
+			(len(s.Complexes) == 0 || s.complexAllows(j.Block))
+		if stalled[j.blk] || !fits {
 			if blk.Policy == FIFO {
-				blocked[j.Block] = true // preserve order: later jobs wait
+				stalled[j.blk] = true // preserve order: later jobs wait
 			}
 			remaining = append(remaining, id)
 			continue
@@ -283,9 +375,19 @@ func (s *System) dispatch() {
 		j.State = Running
 		j.StartAt = s.Clock
 		j.FinishAt = s.Clock + j.Seconds
+		if len(s.active) == 0 || (s.nextDone != 0 && s.finishesBefore(id, s.nextDone)) {
+			s.nextDone = id
+		}
 		s.active = append(s.active, id)
 	}
 	s.queue = remaining
+}
+
+// finishesBefore reports whether running job a completes before
+// running job b: earlier FinishAt, ties to the lower ID.
+func (s *System) finishesBefore(a, b int) bool {
+	fa, fb := s.slot(a).FinishAt, s.slot(b).FinishAt
+	return fa < fb || (fa == fb && a < b)
 }
 
 // Advance runs the event loop until no job is running or queued,
@@ -297,8 +399,8 @@ func (s *System) dispatch() {
 func (s *System) Advance() float64 {
 	for len(s.active) > 0 {
 		next := s.nextCompletion()
-		if e, ok := s.nextFault(); ok && e.At < s.Jobs[next].FinishAt {
-			s.deliverFault(e)
+		if at, ok := s.nextFaultAt(); ok && at < s.slot(next).FinishAt {
+			s.deliverFault()
 			continue
 		}
 		s.complete(next)
@@ -308,32 +410,41 @@ func (s *System) Advance() float64 {
 
 // nextCompletion returns the active job with the earliest finish time
 // (ties broken by lower ID). Callers guarantee active is non-empty.
+// The answer is cached until the job it names leaves the active set;
+// dispatch keeps the cache current as jobs start.
 func (s *System) nextCompletion() int {
-	next := -1
-	for _, id := range s.active {
-		if next == -1 || s.Jobs[id].FinishAt < s.Jobs[next].FinishAt ||
-			(s.Jobs[id].FinishAt == s.Jobs[next].FinishAt && id < next) {
-			next = id
+	if s.nextDone == 0 {
+		next := s.active[0]
+		for _, id := range s.active[1:] {
+			if s.finishesBefore(id, next) {
+				next = id
+			}
 		}
+		s.nextDone = next
 	}
-	return next
+	return s.nextDone
+}
+
+// deactivate removes a running job from the active set, keeping the
+// set's order.
+func (s *System) deactivate(id int) {
+	if i := slices.Index(s.active, id); i >= 0 {
+		s.active = slices.Delete(s.active, i, i+1)
+	}
+	if id == s.nextDone {
+		s.nextDone = 0
+	}
 }
 
 // complete retires one running job and redispatches.
 func (s *System) complete(next int) {
-	j := s.Jobs[next]
+	j := s.slot(next)
 	s.Clock = j.FinishAt
 	j.State = Done
-	blk := s.Blocks[j.Block]
+	blk := s.blocks[j.blk]
 	blk.usedCPUs -= j.CPUs
 	blk.usedMem -= j.MemGB
-	// Remove from active.
-	for i, id := range s.active {
-		if id == next {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
+	s.deactivate(next)
 	s.dispatch()
 }
 
@@ -343,10 +454,10 @@ func (s *System) complete(next int) {
 // checkpoint cut short, checkpoints, moves, migration or failure),
 // then its current run's start and finish from its own fields.
 func (s *System) QCat(id int) (string, error) {
-	j, ok := s.Jobs[id]
-	if !ok {
+	if id < 1 || id > s.nextID {
 		return "", fmt.Errorf("superux: no job %d", id)
 	}
+	j := &s.slot(id).Job
 	var b strings.Builder
 	for _, e := range s.log {
 		if e.Job == id {
@@ -401,18 +512,17 @@ func (e logEntry) render(b *strings.Builder, j *Job) {
 
 // Status returns a job's state.
 func (s *System) Status(id int) (JobState, error) {
-	j, ok := s.Jobs[id]
-	if !ok {
+	if id < 1 || id > s.nextID {
 		return 0, fmt.Errorf("superux: no job %d", id)
 	}
-	return j.State, nil
+	return s.slot(id).State, nil
 }
 
 // Makespan returns the latest finish time among completed jobs.
 func (s *System) Makespan() float64 {
 	best := 0.0
-	for _, j := range s.Jobs {
-		if j.State == Done && j.FinishAt > best {
+	for id := 1; id <= s.nextID; id++ {
+		if j := s.slot(id); j.State == Done && j.FinishAt > best {
 			best = j.FinishAt
 		}
 	}
@@ -457,13 +567,10 @@ func (s *System) Checkpoint() ([]byte, error) {
 		snap.Complexes[name] = c
 	}
 	for name, b := range s.Blocks {
-		sb := *b
-		sb.usedCPUs = b.usedCPUs
-		sb.usedMem = b.usedMem
-		snap.Blocks[name] = sb
+		snap.Blocks[name] = *b
 	}
-	for id, j := range s.Jobs {
-		snap.Jobs[id] = *j
+	for id := 1; id <= s.nextID; id++ {
+		snap.Jobs[id] = s.slot(id).Job
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
@@ -474,12 +581,14 @@ func (s *System) Checkpoint() ([]byte, error) {
 
 // Restart reconstructs a system from a checkpoint. A corrupt snapshot
 // — negative clock, unknown job state, a block stored under another
-// block's name, a block order that does not name every block exactly
-// once, a job referencing an undefined resource block, a
-// queue/active/log entry naming a missing job, or a log entry of
-// unknown kind — is rejected rather than round-tripped silently. The
-// fault schedule is not part of the checkpoint; re-attach it with
-// SetInjector.
+// block's name or with bad CPU limits, a block order that does not
+// name every block exactly once, job ids other than 1 through the job
+// counter, a job stored under another job's id or referencing an
+// undefined resource block, a queue/active/log entry naming a missing
+// job, a job queued or running twice, or a log entry of unknown kind
+// — is rejected rather than round-tripped silently. The queue is put
+// in queue order. The fault schedule is not part of the checkpoint;
+// re-attach it with SetInjector.
 func Restart(data []byte) (*System, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -488,39 +597,32 @@ func Restart(data []byte) (*System, error) {
 	if err := snap.validate(); err != nil {
 		return nil, fmt.Errorf("superux: restart: %w", err)
 	}
-	s := &System{
-		Blocks:          map[string]*ResourceBlock{},
-		Complexes:       map[string]Complex{},
-		Jobs:            map[int]*Job{},
-		Clock:           snap.Clock,
-		nextID:          snap.NextID,
-		queue:           snap.Queue,
-		active:          snap.Active,
-		log:             snap.Log,
-		faultsDelivered: snap.FaultsDelivered,
+	blocks := make([]ResourceBlock, len(snap.Order))
+	for i, name := range snap.Order {
+		blocks[i] = snap.Blocks[name]
 	}
+	s := NewSystem(blocks...)
+	s.Clock = snap.Clock
+	s.faultsDelivered = snap.FaultsDelivered
 	for name, c := range snap.Complexes {
 		s.Complexes[name] = c
 	}
-	for name, b := range snap.Blocks {
-		rb := b
-		s.Blocks[name] = &rb
+	for id := 1; id <= snap.NextID; id++ {
+		j := snap.Jobs[id]
+		if id > len(s.jobs)*jobChunk {
+			s.jobs = append(s.jobs, new([jobChunk]jobSlot))
+		}
+		s.nextID = id
+		sl := s.slot(id)
+		sl.Job, sl.blk = j, s.blockIndex(j.Block)
 	}
-	for id, j := range snap.Jobs {
-		jj := j
-		s.Jobs[id] = &jj
-	}
-	for _, name := range snap.Order {
-		s.blocks = append(s.blocks, s.Blocks[name])
-	}
+	s.queue, s.active, s.log = snap.Queue, snap.Active, snap.Log
+	s.sortQueue()
 	// Recompute block usage from running jobs (usage fields are
 	// unexported and not serialized).
-	for _, b := range s.Blocks {
-		b.usedCPUs, b.usedMem = 0, 0
-	}
 	for _, id := range s.active {
-		j := s.Jobs[id]
-		blk := s.Blocks[j.Block]
+		j := s.slot(id)
+		blk := s.blocks[j.blk]
 		blk.usedCPUs += j.CPUs
 		blk.usedMem += j.MemGB
 	}
@@ -536,13 +638,24 @@ func (snap *snapshot) validate() error {
 		return fmt.Errorf("negative job counter %d", snap.NextID)
 	case snap.FaultsDelivered < 0:
 		return fmt.Errorf("negative delivered-fault count %d", snap.FaultsDelivered)
+	case len(snap.Jobs) != snap.NextID:
+		return fmt.Errorf("checkpoint holds %d jobs, the job counter says %d", len(snap.Jobs), snap.NextID)
 	}
 	for name, b := range snap.Blocks {
 		if b.Name != name {
 			return fmt.Errorf("block %q is stored under name %q", b.Name, name)
 		}
+		if b.MaxCPUs <= 0 || b.MinCPUs < 0 || b.MinCPUs > b.MaxCPUs {
+			return fmt.Errorf("block %q has bad CPU limits", name)
+		}
 	}
 	for id, j := range snap.Jobs {
+		if id < 1 || id > snap.NextID {
+			return fmt.Errorf("job id %d is outside 1..%d", id, snap.NextID)
+		}
+		if j.ID != id {
+			return fmt.Errorf("job %d is stored under id %d", j.ID, id)
+		}
 		if j.State < Queued || j.State > Migrated {
 			return fmt.Errorf("job %d has unknown state %d", id, int(j.State))
 		}
@@ -550,15 +663,15 @@ func (snap *snapshot) validate() error {
 			return fmt.Errorf("job %d references undefined resource block %q", id, j.Block)
 		}
 	}
-	for _, id := range snap.Queue {
+	seen := make(map[int]bool, len(snap.Queue)+len(snap.Active))
+	for _, id := range slices.Concat(snap.Queue, snap.Active) {
 		if _, ok := snap.Jobs[id]; !ok {
-			return fmt.Errorf("queued job %d does not exist", id)
+			return fmt.Errorf("queued or active job %d does not exist", id)
 		}
-	}
-	for _, id := range snap.Active {
-		if _, ok := snap.Jobs[id]; !ok {
-			return fmt.Errorf("active job %d does not exist", id)
+		if seen[id] {
+			return fmt.Errorf("job %d is queued or active twice", id)
 		}
+		seen[id] = true
 	}
 	for _, e := range snap.Log {
 		if _, ok := snap.Jobs[e.Job]; !ok {

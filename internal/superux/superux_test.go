@@ -1,9 +1,19 @@
 package superux
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// jobAt returns job id of s, panicking when s has no such job.
+func jobAt(s *System, id int) Job {
+	j, ok := s.Job(id)
+	if !ok {
+		panic(fmt.Sprintf("no job %d", id))
+	}
+	return j
+}
 
 func batchBlock(cpus int) ResourceBlock {
 	return ResourceBlock{Name: "batch", MaxCPUs: cpus, MemGB: 8, Policy: FIFO}
@@ -30,7 +40,7 @@ func TestFIFOOrdering(t *testing.T) {
 	b := s.Submit(Job{Name: "b", Block: "batch", CPUs: 4, MemGB: 1, Seconds: 30})
 	c := s.Submit(Job{Name: "c", Block: "batch", CPUs: 4, MemGB: 1, Seconds: 20})
 	s.Advance()
-	ja, jb, jc := s.Jobs[a], s.Jobs[b], s.Jobs[c]
+	ja, jb, jc := jobAt(s, a), jobAt(s, b), jobAt(s, c)
 	if !(ja.StartAt == 0 && jb.StartAt == 50 && jc.StartAt == 80) {
 		t.Errorf("FIFO starts = %v, %v, %v; want 0, 50, 80", ja.StartAt, jb.StartAt, jc.StartAt)
 	}
@@ -47,7 +57,7 @@ func TestFIFOHeadOfLineBlocks(t *testing.T) {
 		t.Fatalf("small job state = %v; FIFO must not let it overtake", st)
 	}
 	s.Advance()
-	if s.Jobs[small].StartAt < s.Jobs[big].StartAt {
+	if jobAt(s, small).StartAt < jobAt(s, big).StartAt {
 		t.Error("small job overtook the blocked head job in a FIFO block")
 	}
 }
@@ -104,9 +114,9 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	low := s.Submit(Job{Name: "low", Block: "batch", CPUs: 4, MemGB: 1, Seconds: 10, Priority: 1})
 	high := s.Submit(Job{Name: "high", Block: "batch", CPUs: 4, MemGB: 1, Seconds: 10, Priority: 9})
 	s.Advance()
-	if s.Jobs[high].StartAt >= s.Jobs[low].StartAt {
+	if jobAt(s, high).StartAt >= jobAt(s, low).StartAt {
 		t.Errorf("high-priority job started at %v, after low at %v",
-			s.Jobs[high].StartAt, s.Jobs[low].StartAt)
+			jobAt(s, high).StartAt, jobAt(s, low).StartAt)
 	}
 }
 
@@ -127,8 +137,8 @@ func TestComplexRunLimit(t *testing.T) {
 		t.Fatal("complex run limit not enforced")
 	}
 	s.Advance()
-	if s.Jobs[jb].StartAt != 30 {
-		t.Errorf("second job started at %v, want 30 (after the first)", s.Jobs[jb].StartAt)
+	if jobAt(s, jb).StartAt != 30 {
+		t.Errorf("second job started at %v, want 30 (after the first)", jobAt(s, jb).StartAt)
 	}
 }
 
@@ -182,8 +192,8 @@ func TestComplexSurvivesCheckpoint(t *testing.T) {
 		t.Fatal("complex lost in checkpoint")
 	}
 	r.Advance()
-	if r.Jobs[jb].StartAt != 30 {
-		t.Errorf("restored complex not enforced: start %v", r.Jobs[jb].StartAt)
+	if jobAt(r, jb).StartAt != 30 {
+		t.Errorf("restored complex not enforced: start %v", jobAt(r, jb).StartAt)
 	}
 }
 
@@ -230,9 +240,12 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 	if gotEnd != refEnd {
 		t.Errorf("restarted makespan = %v, want %v", gotEnd, refEnd)
 	}
-	for id, rj := range ref.Jobs {
-		gj := restored.Jobs[id]
-		if gj == nil || gj.StartAt != rj.StartAt || gj.FinishAt != rj.FinishAt {
+	if restored.NumJobs() != ref.NumJobs() {
+		t.Fatalf("restarted system holds %d jobs, want %d", restored.NumJobs(), ref.NumJobs())
+	}
+	for id := 1; id <= ref.NumJobs(); id++ {
+		rj, gj := jobAt(ref, id), jobAt(restored, id)
+		if gj.StartAt != rj.StartAt || gj.FinishAt != rj.FinishAt {
 			t.Errorf("job %d schedule differs after restart: %+v vs %+v", id, gj, rj)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // The registry maps short machine names ("ymp", "sx4-32") to target
@@ -19,6 +20,7 @@ import (
 type entry struct {
 	ctor   func() Target
 	shared func() Target
+	built  *atomic.Bool // set once shared has built its instance
 }
 
 var (
@@ -45,7 +47,12 @@ func Register(name string, ctor func() Target) {
 	if _, dup := registry[key]; dup {
 		panic(fmt.Sprintf("target: duplicate machine name %q", name))
 	}
-	registry[key] = entry{ctor: ctor, shared: sync.OnceValue(ctor)}
+	built := new(atomic.Bool)
+	registry[key] = entry{ctor: ctor, built: built, shared: sync.OnceValue(func() Target {
+		t := ctor()
+		built.Store(true)
+		return t
+	})}
 	regOrder = append(regOrder, key)
 }
 
@@ -86,6 +93,28 @@ func build(name string, from func(entry) Target) (Target, error) {
 		return nil, fmt.Errorf("target: constructor for machine %q returned nil", name)
 	}
 	return t, nil
+}
+
+// EachShared calls fn with every shared instance Shared has already
+// built, in registration order. It builds nothing: a machine no caller
+// has asked for is skipped, which is how the daemon reads its books
+// without standing up every machine.
+func EachShared(fn func(name string, t Target)) {
+	type built struct {
+		name   string
+		shared func() Target
+	}
+	var all []built
+	regMu.RLock()
+	for _, name := range regOrder {
+		if e := registry[name]; e.built.Load() {
+			all = append(all, built{name, e.shared})
+		}
+	}
+	regMu.RUnlock()
+	for _, b := range all {
+		fn(b.name, b.shared())
+	}
 }
 
 // MustLookup is Lookup for names known to be registered; it panics on

@@ -2,6 +2,7 @@ package target
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,6 +258,50 @@ func TestSharedConcurrentFirstCallsBuildOnce(t *testing.T) {
 		if tgt != got[0] {
 			t.Errorf("caller %d got a different instance", i)
 		}
+	}
+}
+
+// TestEachSharedVisitsOnlyBuiltInstances pins the registry walk: it
+// visits exactly the machines Shared has built, in registration order,
+// with the shared instances, and builds nothing itself.
+func TestEachSharedVisitsOnlyBuiltInstances(t *testing.T) {
+	run := sharedRuns.Add(1)
+	var builds atomic.Int64
+	names := make([]string, 4)
+	for i := range names {
+		names[i] = fmt.Sprintf("test-stub-walk-%d-%d", run, i)
+		Register(names[i], func() Target {
+			builds.Add(1)
+			return &stub{name: "Stub Walk", fp: uint64(100 + i)}
+		})
+	}
+	walk := func() (visited []string) {
+		EachShared(func(name string, tgt Target) {
+			if !strings.HasPrefix(name, fmt.Sprintf("test-stub-walk-%d-", run)) {
+				return
+			}
+			if tgt != MustShared(name) {
+				t.Errorf("EachShared passed %s an instance other than the shared one", name)
+			}
+			visited = append(visited, name)
+		})
+		return visited
+	}
+	if got := walk(); len(got) != 0 {
+		t.Errorf("walk before any Shared call visited %v", got)
+	}
+	MustShared(names[3])
+	MustShared(names[1])
+	before := builds.Load()
+	if got, want := walk(), []string{names[1], names[3]}; !slices.Equal(got, want) {
+		t.Errorf("walk visited %v, want %v", got, want)
+	}
+	if builds.Load() != before || before != 2 {
+		t.Errorf("%d builds before the walk and %d after, want 2 and 2", before, builds.Load())
+	}
+	MustLookup(names[0])
+	if got := walk(); len(got) != 2 {
+		t.Errorf("a Lookup instance joined the walk: %v", got)
 	}
 }
 
