@@ -159,7 +159,10 @@ goldens-check:
 	$(GO) run ./cmd/goldens
 
 # Run each native fuzz target briefly (no new corpus is committed);
-# any panic or property violation fails the target.
+# any panic or property violation fails the target. FuzzRestart's
+# inputs are kilobyte gob streams, which the default 60 s minimization
+# of each new input would spend the whole budget on, so its
+# minimization is capped.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzProgramFingerprint$$' -fuzztime $(FUZZTIME)
@@ -168,6 +171,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCacheSnapshotLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/superux -run '^$$' -fuzz '^FuzzRestart$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/target -run '^$$' -fuzz '^FuzzFPCacheBudget$$' -fuzztime $(FUZZTIME)
 
 # Aggregate statement coverage across all packages.

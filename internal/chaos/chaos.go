@@ -26,6 +26,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"sx4bench/internal/splitmix"
 )
 
 // Kind classifies one injected disturbance.
@@ -64,16 +66,6 @@ func (k Kind) String() string {
 // middleware, valued with the Kind injected ("none" included), so a
 // soak can classify outcomes without guessing.
 const Header = "X-Chaos"
-
-// splitmix64 is the SplitMix64 finalizer — the repo's standard
-// seed-mixing primitive (fault and core use the same construction),
-// kept local so the package stays a leaf over net/http.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // Plan is a seeded disturbance schedule. The zero value disturbs
 // nothing; NewPlan sets the canonical soak knobs.
@@ -115,26 +107,20 @@ type Decision struct {
 // of (Seed, i, Rate, MaxLatency), exported so tests can predict and
 // cross-check exactly what a soak injected.
 func (p *Plan) Decide(i uint64) Decision {
-	state := splitmix64(uint64(p.Seed)) + 0x9e3779b97f4a7c15*(i+1)
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		return splitmix64(state)
-	}
-	u := float64(next()>>11) / (1 << 53) // uniform in [0,1)
-	if u >= p.Rate {
+	r := splitmix.Stream(splitmix.Mix(uint64(p.Seed)) + splitmix.Gamma*(i+1))
+	if r.Uniform() >= p.Rate {
 		return Decision{Kind: None}
 	}
 	// Draw over the active kinds (None excluded): which disturbance.
 	var k Kind
 	if len(p.Kinds) > 0 {
-		k = p.Kinds[next()%uint64(len(p.Kinds))]
+		k = p.Kinds[r.Next()%uint64(len(p.Kinds))]
 	} else {
-		k = Kind(1 + next()%uint64(numKinds-1))
+		k = Kind(1 + r.Next()%uint64(numKinds-1))
 	}
 	d := Decision{Kind: k}
 	if k == Latency {
-		frac := float64(next()>>11) / (1 << 53)
-		d.Latency = time.Duration(frac * float64(p.MaxLatency))
+		d.Latency = time.Duration(r.Uniform() * float64(p.MaxLatency))
 	}
 	return d
 }

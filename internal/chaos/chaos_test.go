@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -155,5 +157,24 @@ func TestMiddlewareReplaysSchedule(t *testing.T) {
 	b := serveAll(NewPlan(1996))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different schedules:\n%v\n%v", a, b)
+	}
+}
+
+// TestDecidePinned pins the exact draws behind Decide: 200 decisions
+// for each of 20 seeds, folded into one FNV-1a digest. A change to the
+// SplitMix64 stream or to the order Decide consumes it moves the digest.
+func TestDecidePinned(t *testing.T) {
+	h := fnv.New64a()
+	var buf [8]byte
+	for seed := int64(1); seed <= 20; seed++ {
+		p := NewPlan(seed)
+		for i := uint64(0); i < 200; i++ {
+			d := p.Decide(i)
+			binary.LittleEndian.PutUint64(buf[:], uint64(d.Kind)<<56^uint64(d.Latency))
+			h.Write(buf[:])
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x78457713a364411c); got != want {
+		t.Errorf("decision digest = %#x, want %#x", got, want)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"sx4bench/internal/serve"
+	"sx4bench/internal/splitmix"
 )
 
 // Config configures a Client. The zero value of every field is usable.
@@ -100,15 +101,6 @@ func sleepWall(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// splitmix64 is the SplitMix64 finalizer, the repo's standard
-// seed-mixing primitive.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Backoff computes the wait before retry attempt (1-based): capped
 // exponential growth from base with deterministic "equal jitter" — the
 // wait lands uniformly in [cap/2, cap), where cap = min(base<<(attempt-1),
@@ -126,9 +118,10 @@ func Backoff(seed uint64, attempt int, base, max time.Duration) time.Duration {
 	if ceil > max {
 		ceil = max
 	}
-	u := float64(splitmix64(splitmix64(seed)+0x9e3779b97f4a7c15*uint64(attempt))>>11) / (1 << 53)
+	// The attempt-th draw of the stream seeded by the client seed.
+	r := splitmix.Stream(splitmix.Mix(seed) + splitmix.Gamma*uint64(attempt-1))
 	half := ceil / 2
-	return half + time.Duration(u*float64(ceil-half))
+	return half + time.Duration(r.Uniform()*float64(ceil-half))
 }
 
 // StatusError is a non-2xx answer that exhausted (or did not warrant)

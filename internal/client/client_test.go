@@ -2,8 +2,10 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -269,5 +271,21 @@ func TestStats(t *testing.T) {
 	}
 	if st.RunQueries != 1 || st.RunsExecuted != 1 {
 		t.Fatalf("stats books: %+v", st)
+	}
+}
+
+// TestBackoffPinned pins the exact jitter Backoff draws: nine attempts
+// for each of 20 seeds, folded into one FNV-1a digest.
+func TestBackoffPinned(t *testing.T) {
+	h := fnv.New64a()
+	var buf [8]byte
+	for seed := uint64(1); seed <= 20; seed++ {
+		for attempt := 1; attempt <= 9; attempt++ {
+			binary.LittleEndian.PutUint64(buf[:], uint64(Backoff(seed, attempt, 100*time.Millisecond, 5*time.Second)))
+			h.Write(buf[:])
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xeae7ac3a59c7f9df); got != want {
+		t.Errorf("backoff digest = %#x, want %#x", got, want)
 	}
 }

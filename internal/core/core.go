@@ -11,6 +11,7 @@ import (
 	"math"
 	"sync"
 
+	"sx4bench/internal/splitmix"
 	"sx4bench/internal/sx4/prog"
 	"sx4bench/internal/target"
 )
@@ -31,7 +32,7 @@ type Noise struct {
 	Seed int64
 
 	mu    sync.Mutex
-	state uint64 // SplitMix64 stream state; 0 means "not yet seeded"
+	state splitmix.Stream // 0 means "not yet seeded"
 }
 
 // NewNoise returns a jitter source with the given amplitude and seed.
@@ -44,21 +45,12 @@ func NewNoise(amp float64, seed int64) *Noise {
 // fork one Stream per measurement point without the stream setup
 // dominating the measurement (rand.Rand's 607-word lagged-Fibonacci
 // seeding did exactly that).
-func noiseState(seed int64) uint64 {
-	s := splitmix64(uint64(seed))
+func noiseState(seed int64) splitmix.Stream {
+	s := splitmix.Mix(uint64(seed))
 	if s == 0 {
-		s = 0x9e3779b97f4a7c15
+		s = splitmix.Gamma
 	}
-	return s
-}
-
-// splitmix64 is the SplitMix64 finalizer, used to derive well-spread
-// stream seeds from (Seed, id) pairs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return splitmix.Stream(s)
 }
 
 // Stream derives the id-th independent jitter stream: same amplitude,
@@ -70,7 +62,7 @@ func (n *Noise) Stream(id int64) *Noise {
 	if n == nil {
 		return nil
 	}
-	seed := int64(splitmix64(splitmix64(uint64(n.Seed)) ^ uint64(id)))
+	seed := int64(splitmix.Mix(splitmix.Mix(uint64(n.Seed)) ^ uint64(id)))
 	return NewNoise(n.Amp, seed)
 }
 
@@ -84,10 +76,7 @@ func (n *Noise) Perturb(seconds float64) float64 {
 	if n.state == 0 {
 		n.state = noiseState(n.Seed)
 	}
-	// SplitMix64 step, then take the top 53 bits as a uniform in [0,1).
-	n.state += 0x9e3779b97f4a7c15
-	u := float64(splitmix64(n.state)>>11) / (1 << 53)
-	return seconds * (1 + n.Amp*u)
+	return seconds * (1 + n.Amp*n.state.Uniform())
 }
 
 // KTries runs trial k times and returns the best (smallest) time, the

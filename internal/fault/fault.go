@@ -22,10 +22,10 @@
 // treats it as an empty schedule, which is what pins the fault-free
 // goldens byte-identical to a build without this package.
 //
-// The package is a leaf: it imports only the standard library, so the
-// model layer, the OS model and the runners can all depend on it
-// without cycles. All times are simulated seconds — never the host
-// clock.
+// The package is a leaf: it imports only the standard library and the
+// splitmix stream, so the model layer, the OS model and the runners can
+// all depend on it without cycles. All times are simulated seconds —
+// never the host clock.
 package fault
 
 import (
@@ -36,6 +36,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"sx4bench/internal/splitmix"
 )
 
 // Kind classifies one injected fault.
@@ -204,16 +206,6 @@ func sortEvents(events []Event) {
 	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 }
 
-// splitmix64 is the SplitMix64 finalizer — the repo's standard
-// seed-mixing primitive (core.Noise uses the same construction), kept
-// local so this package stays a leaf.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // NewPlan derives a schedule of n faults over [0, horizon) seconds
 // from a seed: a SplitMix64 stream supplies each event's time, kind
 // and unit, so the whole scenario is a pure function of (seed,
@@ -231,20 +223,15 @@ func (p *Plan) Fill(seed int64, horizon float64, n int) {
 	if horizon <= 0 || n <= 0 {
 		return
 	}
-	state := splitmix64(uint64(seed))
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		return splitmix64(state)
-	}
+	r := splitmix.Stream(splitmix.Mix(uint64(seed)))
 	if cap(p.Events) < n {
 		p.Events = make([]Event, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		u := float64(next()>>11) / (1 << 53) // uniform in [0,1)
 		p.Events = append(p.Events, Event{
-			At:   u * horizon,
-			Kind: Kind(next() % uint64(numKinds)),
-			Unit: int(next() % 32),
+			At:   r.Uniform() * horizon,
+			Kind: Kind(r.Next() % uint64(numKinds)),
+			Unit: int(r.Next() % 32),
 		})
 	}
 	sortEvents(p.Events)
@@ -277,13 +264,7 @@ func NodeSeed(fleetSeed int64, node int) int64 {
 	// stream's native skip-ahead, and the asymmetric mix keeps
 	// (fleet, node) pairs from aliasing each other the way a plain XOR
 	// of the two halves would.
-	return int64(splitmix64(splitmix64(uint64(fleetSeed)) + 0x9e3779b97f4a7c15*(uint64(node)+1)))
-}
-
-// NewNodePlan is the fleet form of NewPlan: the node-th schedule of a
-// fleet-wide scenario, NewPlan evaluated at NodeSeed(fleetSeed, node).
-func NewNodePlan(fleetSeed int64, node int, horizon float64, n int) *Plan {
-	return NewPlan(NodeSeed(fleetSeed, node), horizon, n)
+	return int64(splitmix.Mix(splitmix.Mix(uint64(fleetSeed)) + splitmix.Gamma*(uint64(node)+1)))
 }
 
 // Format writes the plan in the schedule-file syntax Parse reads: one

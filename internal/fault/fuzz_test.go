@@ -19,7 +19,7 @@ func FuzzFaultPlanParse(f *testing.F) {
 	}
 	f.Add(canonical.String())
 	var node bytes.Buffer
-	if err := NewNodePlan(1996, 2, 604800, 6).Format(&node); err != nil {
+	if err := NewPlan(NodeSeed(1996, 2), 604800, 6).Format(&node); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(node.String())

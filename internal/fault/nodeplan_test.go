@@ -32,7 +32,7 @@ func TestNodeSeedNeverPerturbsCanonicalPlan(t *testing.T) {
 			}
 		}
 	}
-	a, b := Canonical(), NewNodePlan(CanonicalSeed, 0, CanonicalHorizon, CanonicalEvents)
+	a, b := Canonical(), NewPlan(NodeSeed(CanonicalSeed, 0), CanonicalHorizon, CanonicalEvents)
 	if len(a.Events) != len(b.Events) {
 		return // trivially different
 	}
@@ -45,23 +45,5 @@ func TestNodeSeedNeverPerturbsCanonicalPlan(t *testing.T) {
 	}
 	if same {
 		t.Fatal("node 0 of the canonical fleet replays the canonical single-node plan")
-	}
-}
-
-func TestNewNodePlanMatchesNodeSeed(t *testing.T) {
-	got := NewNodePlan(7, 5, 604800, 6)
-	want := NewPlan(NodeSeed(7, 5), 604800, 6)
-	if got.Seed != want.Seed || len(got.Events) != len(want.Events) {
-		t.Fatalf("NewNodePlan diverges from NewPlan(NodeSeed(...)): %+v vs %+v", got, want)
-	}
-	for i := range got.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Fatalf("event %d differs: %v vs %v", i, got.Events[i], want.Events[i])
-		}
-	}
-	for _, e := range got.Events {
-		if e.At < 0 || e.At >= 604800 {
-			t.Fatalf("event outside horizon: %v", e)
-		}
 	}
 }

@@ -22,6 +22,7 @@ func TestFleetImportAllowlist(t *testing.T) {
 		"sx4bench/internal/core":       true,
 		"sx4bench/internal/core/sched": true,
 		"sx4bench/internal/fault":      true,
+		"sx4bench/internal/splitmix":   true,
 		"sx4bench/internal/superux":    true,
 		"sx4bench/internal/target":     true,
 	}

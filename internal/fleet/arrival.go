@@ -7,57 +7,23 @@ import (
 	"strconv"
 	"strings"
 
-	"sx4bench/internal/superux"
+	"sx4bench/internal/splitmix"
 )
 
-// Arrival is one job entering the system at a simulated time. It is
-// the shape shared by the legacy PRODLOAD replay and the fleet engine:
-// prodload expresses its four-job sequences as arrivals with fixed
-// Seconds and Block bindings (replayed on one node byte-identically to
-// the pre-fleet scheduler loop), while the generated mixes express
-// work as WorkMFLOP and leave placement to the cluster dispatcher.
+// Arrival is one job entering the fleet at a simulated time. Its work
+// is a demand, not a duration, and the cluster dispatcher picks its
+// node and block.
 type Arrival struct {
 	// At is the submission time in simulated seconds.
 	At float64
 	// Name labels the job.
 	Name string
-	// Block, when non-empty, binds the job to a named resource block —
-	// the single-node replay path. Cluster-routed arrivals leave it
-	// empty and the dispatcher picks node and block.
-	Block string
 	// CPUs and MemGB are the job's resource shape.
 	CPUs  int
 	MemGB float64
-	// Seconds, when positive, is the job's fixed duration. Otherwise
-	// the duration is WorkMFLOP converted at the chosen node's rate —
-	// the heterogeneity hook.
-	Seconds   float64
+	// WorkMFLOP is the job's work; the chosen node's rate converts it to
+	// a duration — the heterogeneity hook.
 	WorkMFLOP float64
-	// Priority follows superux ordering (higher first).
-	Priority int
-}
-
-// Replay drives a single SUPER-UX system with a fixed arrival
-// schedule: the system is advanced to each arrival's time, the job
-// submitted, and the event loop drained after the last submission. For
-// an all-At-zero schedule this is exactly the pre-fleet PRODLOAD loop
-// — submissions in slice order at t=0, one Advance — which is what
-// keeps the prodload golden byte-identical across the refactor.
-func Replay(sys *superux.System, arrivals []Arrival) float64 {
-	for _, a := range arrivals {
-		if a.At > 0 {
-			sys.AdvanceUntil(a.At)
-		}
-		sys.Submit(superux.Job{
-			Name:     a.Name,
-			Block:    a.Block,
-			CPUs:     a.CPUs,
-			MemGB:    a.MemGB,
-			Seconds:  a.Seconds,
-			Priority: a.Priority,
-		})
-	}
-	return sys.Advance()
 }
 
 // JobClass is one tenant's job shape in a workload mix: PRODLOAD's
@@ -134,8 +100,7 @@ func (m Mix) Arrivals(seed int64, horizon float64) []Arrival {
 // appendArrivals is Arrivals writing into out's storage, which it
 // overwrites.
 func (m Mix) appendArrivals(out []Arrival, seed int64, horizon float64) []Arrival {
-	r := newRand(seed)
-	g := generator{classes: m.Classes, r: r}
+	g := generator{classes: m.Classes, r: newStream(seed)}
 	for _, c := range m.Classes {
 		g.total += c.Weight
 	}
@@ -170,15 +135,15 @@ func (m Mix) appendArrivals(out []Arrival, seed int64, horizon float64) []Arriva
 		peak := m.PerHour * (1 + DiurnalSwing)
 		t := 0.0
 		for {
-			t += r.exp(3600 / peak)
+			t += g.exp(3600 / peak)
 			if t >= horizon {
 				break
 			}
 			rate := m.PerHour * (1 + DiurnalSwing*math.Sin(2*math.Pi*t/DaySeconds))
-			if r.uniform()*peak < rate {
+			if g.r.Uniform()*peak < rate {
 				out = g.classify(out, t)
 			} else {
-				r.uniform() // class draw burned: kept/dropped candidates cost the same
+				g.r.Uniform() // class draw burned: kept/dropped candidates cost the same
 			}
 		}
 	default:
@@ -256,8 +221,23 @@ func labelLen(mix, class string, i int) int {
 // generator draws one schedule's arrivals from its stream.
 type generator struct {
 	classes []JobClass
-	r       *rand64
+	r       splitmix.Stream
 	total   float64 // the classes' summed weight
+}
+
+// newStream seeds a schedule's draw stream from the arrival seed.
+func newStream(seed int64) splitmix.Stream {
+	s := splitmix.Mix(uint64(seed))
+	if s == 0 {
+		s = splitmix.Gamma
+	}
+	return splitmix.Stream(s)
+}
+
+// exp returns an exponential draw with the given mean (inter-arrival
+// gaps of a Poisson process).
+func (g *generator) exp(mean float64) float64 {
+	return -mean * math.Log(1-g.r.Uniform())
 }
 
 // poisson appends a homogeneous Poisson process at perHour over the
@@ -268,7 +248,7 @@ func (g *generator) poisson(out []Arrival, horizon, perHour float64) []Arrival {
 	}
 	t := 0.0
 	for {
-		t += g.r.exp(3600 / perHour)
+		t += g.exp(3600 / perHour)
 		if t >= horizon {
 			return out
 		}
@@ -281,7 +261,7 @@ func (g *generator) poisson(out []Arrival, horizon, perHour float64) []Arrival {
 // ordered; until then Name carries the class.
 func (g *generator) classify(out []Arrival, t float64) []Arrival {
 	classes := g.classes
-	draw := g.r.uniform() * g.total
+	draw := g.r.Uniform() * g.total
 	cls := &classes[len(classes)-1]
 	for i := range classes {
 		if draw < classes[i].Weight {
@@ -320,36 +300,4 @@ func CanonicalMixes() []Mix {
 		{Name: "burst", Pattern: PatternBurst, PerHour: 0.5, Classes: classes},
 		{Name: "diurnal", Pattern: PatternDiurnal, PerHour: 1.5, Classes: classes},
 	}
-}
-
-// rand64 is a local SplitMix64 draw stream (the repo's standard seeded
-// primitive; math/rand's global source is banned by the seededrand
-// analyzer).
-type rand64 struct{ state uint64 }
-
-func newRand(seed int64) *rand64 {
-	s := splitmix64(uint64(seed))
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	return &rand64{state: s}
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// uniform returns the next draw in [0, 1).
-func (r *rand64) uniform() float64 {
-	r.state += 0x9e3779b97f4a7c15
-	return float64(splitmix64(r.state)>>11) / (1 << 53)
-}
-
-// exp returns an exponential draw with the given mean (inter-arrival
-// gaps of a Poisson process).
-func (r *rand64) exp(mean float64) float64 {
-	return -mean * math.Log(1-r.uniform())
 }

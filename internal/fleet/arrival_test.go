@@ -13,14 +13,14 @@ import (
 // by time, then name each job "<mix>-<class>-<index>". Arrivals must
 // equal it exactly.
 func referenceArrivals(m Mix, seed int64, horizon float64) []Arrival {
-	r := newRand(seed)
+	g := generator{r: newStream(seed)}
 	var out []Arrival
 	classify := func(t float64) Arrival {
 		total := 0.0
 		for _, c := range m.Classes {
 			total += c.Weight
 		}
-		draw := r.uniform() * total
+		draw := g.r.Uniform() * total
 		cls := m.Classes[len(m.Classes)-1]
 		for _, c := range m.Classes {
 			if draw < c.Weight {
@@ -36,7 +36,7 @@ func referenceArrivals(m Mix, seed int64, horizon float64) []Arrival {
 			return
 		}
 		for t := 0.0; ; {
-			t += r.exp(3600 / perHour)
+			t += g.exp(3600 / perHour)
 			if t >= horizon {
 				return
 			}
@@ -58,15 +58,15 @@ func referenceArrivals(m Mix, seed int64, horizon float64) []Arrival {
 	case PatternDiurnal:
 		peak := m.PerHour * (1 + DiurnalSwing)
 		for t := 0.0; ; {
-			t += r.exp(3600 / peak)
+			t += g.exp(3600 / peak)
 			if t >= horizon {
 				break
 			}
 			rate := m.PerHour * (1 + DiurnalSwing*math.Sin(2*math.Pi*t/DaySeconds))
-			if r.uniform()*peak < rate {
+			if g.r.Uniform()*peak < rate {
 				out = append(out, classify(t))
 			} else {
-				r.uniform()
+				g.r.Uniform()
 			}
 		}
 	default:
@@ -109,12 +109,12 @@ func TestArrivalsMatchSortedGeneration(t *testing.T) {
 // merging must equal a stable sort of the two runs concatenated, so a
 // background arrival always precedes a burst arrival at its time.
 func TestMergeTailIsStableSort(t *testing.T) {
-	r := newRand(7)
+	r := newStream(7)
 	run := func(prefix string, n int) []Arrival {
 		out := make([]Arrival, n)
 		at := 0.0
 		for i := range out {
-			at += float64(int(r.uniform() * 3)) // steps of 0, 1 or 2 force ties
+			at += float64(int(r.Uniform() * 3)) // steps of 0, 1 or 2 force ties
 			out[i] = Arrival{At: at, Name: fmt.Sprintf("%s%d", prefix, i)}
 		}
 		return out

@@ -50,8 +50,9 @@ type pendingMigration struct {
 }
 
 // NewCluster stands up one node per spec, each with its fault plan
-// derived from the fleet seed (node i runs fault.NewNodePlan(seed, i,
-// horizon, eventsPerNode)) and its migrator wired into the cluster.
+// derived from the fleet seed (node i runs fault.NewPlan(
+// fault.NodeSeed(seed, i), horizon, eventsPerNode)) and its migrator
+// wired into the cluster.
 // eventsPerNode == 0 builds a fault-free fleet.
 func NewCluster(specs []NodeSpec, fleetSeed int64, horizon float64, eventsPerNode int) *Cluster {
 	c := &Cluster{}
@@ -129,12 +130,9 @@ func (c *Cluster) bestNode(cpus int, memGB float64, secondsFn func(*Node) float6
 }
 
 // secondsOn converts an arrival's demand into a duration on a node:
-// fixed Seconds win, otherwise work over the node's aggregate rate for
-// the job's processor allocation.
+// work over the node's aggregate rate for the job's processor
+// allocation.
 func secondsOn(a *Arrival, n *Node) float64 {
-	if a.Seconds > 0 {
-		return a.Seconds
-	}
 	cpus := a.CPUs
 	if cpus < 1 {
 		cpus = 1
@@ -252,12 +250,11 @@ func (c *Cluster) dispatch(a *Arrival) {
 		return
 	}
 	id := c.submit(node, superux.Job{
-		Name:     a.Name,
-		Block:    block,
-		CPUs:     a.CPUs,
-		MemGB:    a.MemGB,
-		Seconds:  secondsOn(a, n),
-		Priority: a.Priority,
+		Name:    a.Name,
+		Block:   block,
+		CPUs:    a.CPUs,
+		MemGB:   a.MemGB,
+		Seconds: secondsOn(a, n),
 	})
 	c.jobs[rec].node = node
 	c.jobs[rec].localID = id

@@ -8,11 +8,11 @@
 //
 // The layering is deliberate. Each node is an internal/superux System
 // (the OS model PRODLOAD already runs on), its failure schedule is an
-// internal/fault plan (NewNodePlan keeps the canonical single-node
-// plan unperturbed), node shapes come from the target registry's
-// specification sheets, and the Monte Carlo fan-out runs on
-// internal/core/sched so scenario results are byte-identical across
-// worker counts. The concrete machine models are never imported —
+// internal/fault plan drawn at fault.NodeSeed (which keeps the
+// canonical single-node plan unperturbed), node shapes come from the
+// target registry's specification sheets, and the Monte Carlo fan-out
+// runs on internal/core/sched so scenario results are byte-identical
+// across worker counts. The concrete machine models are never imported —
 // fleet consumes spec sheets and fingerprints, not engines — and the
 // layering analyzer plus TestFleetImportAllowlist pin that.
 //

@@ -33,13 +33,13 @@ func TestQuickFleetMakespanBounds(t *testing.T) {
 	}
 	mixes := CanonicalMixes()
 	f := func(seed int64) bool {
-		r := newRand(seed)
-		n := 2 + int(r.uniform()*2) // 2 or 3 nodes
+		r := newStream(seed)
+		n := 2 + int(r.Uniform()*2) // 2 or 3 nodes
 		specs := base[:n]
-		events := int(r.uniform() * 5) // 0..4 fault events per node
+		events := int(r.Uniform() * 5) // 0..4 fault events per node
 		horizon := DaySeconds
 		cluster := NewCluster(specs, fault.NodeSeed(seed, 0), horizon, events)
-		mix := mixes[int(r.uniform()*float64(len(mixes)))]
+		mix := mixes[int(r.Uniform()*float64(len(mixes)))]
 		res := cluster.Run(mix.Arrivals(fault.NodeSeed(seed, 1), horizon))
 
 		if res.Lost != 0 {

@@ -392,9 +392,3 @@ func (w *Workstation) String() string {
 	return fmt.Sprintf("%s (%.0f MHz, %.0f MFLOPS peak)",
 		w.params.ModelName, 1e3/w.params.ClockNS, math.Round(w.PeakMFLOPS()))
 }
-
-// Table1Targets returns the four comparison systems in the paper's
-// Table 1 column order.
-func Table1Targets() []Target {
-	return []Target{SunSparc20(), IBMRS6000590(), CrayJ90(), CrayYMP()}
-}

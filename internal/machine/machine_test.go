@@ -140,21 +140,8 @@ func TestWorkstationString(t *testing.T) {
 	}
 }
 
-func TestTable1Targets(t *testing.T) {
-	ts := Table1Targets()
-	if len(ts) != 4 {
-		t.Fatalf("Table1Targets returned %d targets", len(ts))
-	}
-	wantOrder := []string{"SUN Sparc 20", "IBM RS6000/590", "CRI J90", "CRI Y-MP"}
-	for i, w := range wantOrder {
-		if ts[i].Name() != w {
-			t.Errorf("target %d = %s, want %s", i, ts[i].Name(), w)
-		}
-	}
-}
-
 func TestScalarProfiles(t *testing.T) {
-	for _, tgt := range Table1Targets() {
+	for _, tgt := range []Target{SunSparc20(), IBMRS6000590(), CrayJ90(), CrayYMP()} {
 		p := tgt.Scalar()
 		if p.ClockNS <= 0 || p.IssuePerClock <= 0 {
 			t.Errorf("%s: bad scalar profile %+v", tgt.Name(), p)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"sx4bench/internal/ccm2"
-	"sx4bench/internal/fleet"
 	"sx4bench/internal/iobench"
 	"sx4bench/internal/superux"
 	"sx4bench/internal/sx4/iop"
@@ -94,54 +93,36 @@ func sequenceBlockCPUs(m target.Target, sequences int) int {
 	return blockCPUs
 }
 
-// SequencedArrivals expresses a sequenced PRODLOAD test as a fleet
-// arrival schedule: `sequences` concurrent sequences of four jobs,
-// every job submitted at t=0 bound to its sequence's resource block,
-// occupying the whole block (serializing the sequence) for the slowest
-// component's duration. This is the benchmark's arrival process split
-// from its replay — the legacy golden path below and the fleet
-// capacity engine consume the same schedule shape.
-func SequencedArrivals(m target.Target, sequences int) []fleet.Arrival {
+// runSequencedTest runs `sequences` concurrent sequences of four jobs
+// on a fresh superux system — one FIFO resource block per sequence,
+// every job submitted at t=0 to its sequence's block, occupying the
+// whole block (serializing the sequence) for the slowest component's
+// duration — and returns the makespan.
+func runSequencedTest(m target.Target, sequences int) float64 {
 	blockCPUs := sequenceBlockCPUs(m, sequences)
-	jt := jobComponents(m, blockCPUs)
-	arrivals := make([]fleet.Arrival, 0, 4*sequences)
-	for s := 0; s < sequences; s++ {
-		for j := 0; j < 4; j++ {
-			arrivals = append(arrivals, fleet.Arrival{
-				Name:    fmt.Sprintf("seq%d-job%d", s, j),
-				Block:   fmt.Sprintf("seq%d", s),
-				CPUs:    blockCPUs,
-				MemGB:   8.0 / float64(sequences) * 0.9,
-				Seconds: jt.Max(),
-			})
-		}
-	}
-	return arrivals
-}
-
-// SequencedBlocks is the matching scheduler geometry: one FIFO
-// resource block per sequence.
-func SequencedBlocks(m target.Target, sequences int) []superux.ResourceBlock {
-	blockCPUs := sequenceBlockCPUs(m, sequences)
-	blocks := make([]superux.ResourceBlock, 0, sequences)
-	for s := 0; s < sequences; s++ {
-		blocks = append(blocks, superux.ResourceBlock{
+	seconds := jobComponents(m, blockCPUs).Max()
+	blocks := make([]superux.ResourceBlock, sequences)
+	for s := range blocks {
+		blocks[s] = superux.ResourceBlock{
 			Name:    fmt.Sprintf("seq%d", s),
 			MaxCPUs: blockCPUs,
 			MemGB:   8.0 / float64(sequences),
 			Policy:  superux.FIFO,
-		})
+		}
 	}
-	return blocks
-}
-
-// runSequencedTest replays the sequenced arrival schedule on a fresh
-// superux system and returns the makespan. All arrivals land at t=0,
-// so the replay is submission-order identical to the pre-split
-// scheduler loop — the prodload golden does not move.
-func runSequencedTest(m target.Target, sequences int) float64 {
-	sys := superux.NewSystem(SequencedBlocks(m, sequences)...)
-	return fleet.Replay(sys, SequencedArrivals(m, sequences))
+	sys := superux.NewSystem(blocks...)
+	for s := range blocks {
+		for j := 0; j < 4; j++ {
+			sys.Submit(superux.Job{
+				Name:    fmt.Sprintf("seq%d-job%d", s, j),
+				Block:   blocks[s].Name,
+				CPUs:    blockCPUs,
+				MemGB:   8.0 / float64(sequences) * 0.9,
+				Seconds: seconds,
+			})
+		}
+	}
+	return sys.Advance()
 }
 
 // runTest4 models two concurrent 2-day T170 runs on half the node each.
@@ -175,13 +156,4 @@ func run(m target.Target) Result {
 	}
 	r.TotalSeconds = r.Test1 + r.Test2 + r.Test3 + r.Test4
 	return r
-}
-
-// Components exposes the per-job component times for reporting.
-func Components(m target.Target, sequences int) JobTimes {
-	blockCPUs := m.Spec().CPUs / sequences
-	if blockCPUs < 1 {
-		blockCPUs = 1
-	}
-	return jobComponents(m, blockCPUs)
 }

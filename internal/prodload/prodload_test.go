@@ -1,11 +1,8 @@
 package prodload
 
 import (
-	"fmt"
 	"testing"
 
-	"sx4bench/internal/fleet"
-	"sx4bench/internal/superux"
 	"sx4bench/internal/sx4"
 )
 
@@ -51,7 +48,8 @@ func TestSharingOverheadModest(t *testing.T) {
 }
 
 func TestJobComponents(t *testing.T) {
-	jt := Components(bench(), 1)
+	m := bench()
+	jt := jobComponents(m, sequenceBlockCPUs(m, 1))
 	if jt.T106Seconds <= 0 || jt.T42Seconds <= 0 || jt.HIPPISeconds <= 0 {
 		t.Fatalf("non-positive component: %+v", jt)
 	}
@@ -66,8 +64,9 @@ func TestJobComponents(t *testing.T) {
 }
 
 func TestSequencesScaleJobTime(t *testing.T) {
-	one := Components(bench(), 1)
-	four := Components(bench(), 4)
+	m := bench()
+	one := jobComponents(m, sequenceBlockCPUs(m, 1))
+	four := jobComponents(m, sequenceBlockCPUs(m, 4))
 	if four.T106Seconds <= one.T106Seconds {
 		t.Error("jobs in quarter-node sequences should run slower")
 	}
@@ -80,50 +79,10 @@ func TestSequencesScaleJobTime(t *testing.T) {
 func TestSequencedMakespanIsFourJobs(t *testing.T) {
 	// In each sequenced test the makespan equals 4 consecutive jobs.
 	m := bench()
-	jt := Components(m, 2)
+	jt := jobComponents(m, sequenceBlockCPUs(m, 2))
 	got := runSequencedTest(m, 2)
 	want := 4 * jt.Max()
 	if diff := got - want; diff < -1e-6 || diff > 1e-6 {
 		t.Errorf("2-sequence makespan = %v, want %v (4 serial jobs)", got, want)
-	}
-}
-
-func TestSequencedArrivalsMatchLegacySchedule(t *testing.T) {
-	// The split arrival process must be the pre-refactor submission
-	// loop verbatim: 4 jobs per sequence, submission order (s, j), all
-	// at t=0, bound to their sequence block, sized to the slowest
-	// component. This is what keeps the prodload golden frozen.
-	m := bench()
-	for _, sequences := range []int{1, 2, 4} {
-		arrivals := SequencedArrivals(m, sequences)
-		if len(arrivals) != 4*sequences {
-			t.Fatalf("%d sequences: %d arrivals, want %d", sequences, len(arrivals), 4*sequences)
-		}
-		jt := Components(m, sequences)
-		for i, a := range arrivals {
-			s, j := i/4, i%4
-			if a.At != 0 {
-				t.Errorf("arrival %d at %v, want 0", i, a.At)
-			}
-			if want := fmt.Sprintf("seq%d-job%d", s, j); a.Name != want {
-				t.Errorf("arrival %d name %q, want %q", i, a.Name, want)
-			}
-			if want := fmt.Sprintf("seq%d", s); a.Block != want {
-				t.Errorf("arrival %d block %q, want %q", i, a.Block, want)
-			}
-			if a.Seconds != jt.Max() {
-				t.Errorf("arrival %d duration %v, want %v", i, a.Seconds, jt.Max())
-			}
-		}
-		blocks := SequencedBlocks(m, sequences)
-		if len(blocks) != sequences {
-			t.Fatalf("%d sequences: %d blocks", sequences, len(blocks))
-		}
-		// Replaying the schedule on the declared geometry is exactly the
-		// sequenced test.
-		sys := superux.NewSystem(blocks...)
-		if got, want := fleet.Replay(sys, arrivals), runSequencedTest(m, sequences); got != want {
-			t.Errorf("%d sequences: replay makespan %v != test makespan %v", sequences, got, want)
-		}
 	}
 }

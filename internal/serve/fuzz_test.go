@@ -106,6 +106,14 @@ func FuzzServeRequest(f *testing.F) {
 		if got := reworked.Canonical().Fingerprint(probeFP); got != fp {
 			t.Fatalf("fingerprint depends on workers: %x vs %x", got, fp)
 		}
+		if r1.FaultSeed == 0 {
+			// A fault-free run never reads its deadline or attempt cap.
+			knobs := r1
+			knobs.DeadlineSeconds, knobs.MaxAttempts = r1.DeadlineSeconds+1, (r1.MaxAttempts+1)%maxAttemptCap
+			if got := knobs.Canonical().Fingerprint(probeFP); got != fp {
+				t.Fatalf("fault-free fingerprint depends on the resilience knobs: %x vs %x", got, fp)
+			}
+		}
 		// A canonical request is valid JSON-wire content in its own
 		// right: re-encoding and re-decoding must accept it unchanged.
 		wire, err := json.Marshal(c)

@@ -114,13 +114,17 @@ func (r RunRequest) Validate() error {
 
 // Canonical returns the request in cache-key form: machine name
 // normalized the way the registry matches it, "all" and the empty list
-// folded to the explicit full suite, and the workers knob zeroed (it
-// cannot change a result byte). Two requests with equal canonical
-// forms are the same query.
+// folded to the explicit full suite, and the knobs that cannot change
+// a result byte zeroed — workers always, and the deadline and attempt
+// cap of a fault-free run. Two requests with equal canonical forms are
+// the same query.
 func (r RunRequest) Canonical() RunRequest {
 	out := r
 	out.Machine = strings.ToLower(strings.TrimSpace(r.Machine))
 	out.Workers = 0
+	if r.FaultSeed == 0 {
+		out.DeadlineSeconds, out.MaxAttempts = 0, 0
+	}
 	if len(r.Benchmarks) == 0 || (len(r.Benchmarks) == 1 && r.Benchmarks[0] == "all") {
 		out.Benchmarks = nil
 		for _, b := range ncar.Suite() {
@@ -136,7 +140,8 @@ func (r RunRequest) Canonical() RunRequest {
 // machine configuration: an FNV-1a fold of the target's configuration
 // fingerprint, the benchmark identity list, and every allocation and
 // fault knob that can reach a result byte. Workers is deliberately
-// absent — Canonical zeroes it — so worker counts share cache entries.
+// absent — Canonical zeroes it, and a fault-free run's resilience
+// knobs — so those spellings share cache entries.
 func (r RunRequest) Fingerprint(machineFP uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

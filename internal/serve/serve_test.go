@@ -155,6 +155,29 @@ func TestRunDeterminismAndCache(t *testing.T) {
 	}
 }
 
+// TestFaultFreeRunIgnoresResilienceKnobs pins that a fault-free
+// query's deadline and attempt cap, which change no response byte,
+// share its cache entry.
+func TestFaultFreeRunIgnoresResilienceKnobs(t *testing.T) {
+	s := New(Config{Now: fakeClock()})
+	first := post(t, s, "/v1/run", `{"machine":"sx4-32","benchmarks":["RADABS"]}`)
+	if first.Code != http.StatusOK {
+		t.Fatalf("status %d, body %q", first.Code, first.Body.String())
+	}
+	for _, q := range []string{
+		`{"machine":"sx4-32","benchmarks":["RADABS"],"deadline_seconds":0.001}`,
+		`{"machine":"sx4-32","benchmarks":["RADABS"],"max_attempts":3}`,
+	} {
+		rr := post(t, s, "/v1/run", q)
+		if state := rr.Header().Get("X-Sx4d-Cache"); state != "hit" {
+			t.Errorf("%s: cache state = %q, want hit", q, state)
+		}
+		if !bytes.Equal(rr.Body.Bytes(), first.Body.Bytes()) {
+			t.Errorf("%s: body differs from the plain query's", q)
+		}
+	}
+}
+
 // TestFaultedRun pins the resilient path: a seeded query reports
 // attempt accounting in its metrics and is just as cacheable.
 func TestFaultedRun(t *testing.T) {

@@ -137,7 +137,7 @@ func (s *System) checkpointJob(id int) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	blk := s.blocks[j.blk]
+	blk := &s.blocks[j.blk]
 	blk.usedCPUs -= j.CPUs
 	blk.usedMem -= j.MemGB
 	s.deactivate(id)

@@ -59,7 +59,7 @@ func TestCPUFailRecoversOntoSurvivingBlock(t *testing.T) {
 	if end != want {
 		t.Errorf("makespan = %v, want %v", end, want)
 	}
-	if !s.Blocks["batch"].Failed {
+	if !blockNamed(s, "batch").Failed {
 		t.Error("failed block not marked")
 	}
 	rec, failed, lost := s.Tally()
@@ -164,7 +164,7 @@ func TestAdvanceUntilDeliversIdleFaults(t *testing.T) {
 	if s.Clock != 100 {
 		t.Errorf("clock = %v, want 100", s.Clock)
 	}
-	if !s.Blocks["batch"].Failed {
+	if !blockNamed(s, "batch").Failed {
 		t.Error("idle CPU failure not delivered by AdvanceUntil")
 	}
 	// A job submitted afterwards lands on the survivor.
@@ -202,17 +202,11 @@ func TestCheckpointDoesNotRedeliverFaults(t *testing.T) {
 func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 	base := func() snapshot {
 		return snapshot{
-			Blocks: map[string]ResourceBlock{
-				"b": {Name: "b", MaxCPUs: 4, MemGB: 32},
-			},
-			Complexes: map[string]Complex{},
-			Jobs: map[int]Job{
-				1: {ID: 1, Name: "j", Block: "b", CPUs: 2, MemGB: 1, Seconds: 5, State: Queued},
-			},
-			Clock:  10,
-			NextID: 1,
-			Order:  []string{"b"},
-			Queue:  []int{1},
+			Blocks:         []ResourceBlock{{Name: "b", MaxCPUs: 4, MemGB: 32}},
+			QueueComplexes: []Complex{{Name: "c", Blocks: []string{"b"}, RunLimit: 1}},
+			Jobs:           []Job{{ID: 1, Name: "j", Block: "b", CPUs: 2, MemGB: 1, Seconds: 5, State: Queued}},
+			Clock:          10,
+			Queue:          []int{1},
 		}
 	}
 	encode := func(t *testing.T, snap snapshot) []byte {
@@ -223,6 +217,7 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	second := Job{ID: 2, Name: "k", Block: "b", CPUs: 1, MemGB: 1, Seconds: 1}
 
 	if _, err := Restart(encode(t, base())); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
@@ -233,53 +228,26 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 		wantErr string
 	}{
 		{"negative clock", func(s *snapshot) { s.Clock = -1 }, "clock"},
-		{"negative job counter", func(s *snapshot) { s.NextID = -2 }, "job counter"},
 		{"negative fault count", func(s *snapshot) { s.FaultsDelivered = -1 }, "fault count"},
-		{"unknown job state", func(s *snapshot) {
-			j := s.Jobs[1]
-			j.State = Failed + 3
-			s.Jobs[1] = j
-		}, "unknown state"},
-		{"undefined resource block", func(s *snapshot) {
-			j := s.Jobs[1]
-			j.Block = "ghost"
-			s.Jobs[1] = j
-		}, "undefined resource block"},
+		{"unknown job state", func(s *snapshot) { s.Jobs[0].State = Failed + 3 }, "unknown state"},
+		{"undefined resource block", func(s *snapshot) { s.Jobs[0].Block = "ghost" }, "undefined resource block"},
 		{"queued ghost job", func(s *snapshot) { s.Queue = []int{99} }, "does not exist"},
 		{"active ghost job", func(s *snapshot) { s.Active = []int{42} }, "does not exist"},
-		{"order names ghost block", func(s *snapshot) { s.Order = []string{"ghost"} }, "undefined block"},
-		{"order repeats a block", func(s *snapshot) {
-			s.Blocks["a"] = ResourceBlock{Name: "a", MaxCPUs: 2, MemGB: 8}
-			s.Order = []string{"b", "b"}
-		}, "repeats block"},
-		{"order omits a block", func(s *snapshot) {
-			s.Blocks["a"] = ResourceBlock{Name: "a", MaxCPUs: 2, MemGB: 8}
-		}, "names 1 blocks"},
-		{"block stored under another name", func(s *snapshot) {
-			s.Blocks["b"] = ResourceBlock{Name: "x", MaxCPUs: 4, MemGB: 32}
-		}, "stored under name"},
 		{"log names ghost job", func(s *snapshot) {
 			s.Log = []logEntry{{Job: 7, Kind: logFailed, Clock: 3}}
 		}, "does not exist"},
-		{"job id above the counter", func(s *snapshot) {
-			s.Jobs[2] = Job{ID: 2, Name: "k", Block: "b", CPUs: 1, MemGB: 1, Seconds: 1}
-			delete(s.Jobs, 1)
-			s.Queue = nil
-		}, "outside 1..1"},
-		{"job id zero", func(s *snapshot) {
-			s.Jobs[0] = Job{ID: 0, Name: "k", Block: "b", CPUs: 1, MemGB: 1, Seconds: 1}
-			s.NextID = 2
-		}, "outside 1..2"},
-		{"job count below the counter", func(s *snapshot) { s.NextID = 2 }, "job counter says 2"},
-		{"job count above the counter", func(s *snapshot) { s.NextID = 0 }, "job counter says 0"},
-		{"job stored under another id", func(s *snapshot) {
-			j := s.Jobs[1]
-			j.ID = 4
-			s.Jobs[1] = j
-		}, "stored under id"},
-		{"block with bad CPU limits", func(s *snapshot) {
-			s.Blocks["b"] = ResourceBlock{Name: "b", MaxCPUs: 0, MemGB: 32}
-		}, "bad CPU limits"},
+		{"job id above the counter", func(s *snapshot) { s.Jobs[0].ID = 2 }, "stored as job 1"},
+		{"job id zero", func(s *snapshot) { s.Jobs[0].ID = 0 }, "stored as job 1"},
+		{"job stored under another id", func(s *snapshot) { s.Jobs = append(s.Jobs, s.Jobs[0]) }, "job 1 is stored as job 2"},
+		{"job out of id order", func(s *snapshot) { s.Jobs = []Job{second, s.Jobs[0]} }, "job 2 is stored as job 1"},
+		{"block with bad CPU limits", func(s *snapshot) { s.Blocks[0].MaxCPUs = 0 }, "bad CPU limits"},
+		{"block defined twice", func(s *snapshot) {
+			s.Blocks = append(s.Blocks, ResourceBlock{Name: "b", MaxCPUs: 2, MemGB: 8})
+		}, "duplicate block"},
+		{"complex run limit 0", func(s *snapshot) { s.QueueComplexes[0].RunLimit = 0 }, "positive run limit"},
+		{"complex naming an undefined block", func(s *snapshot) {
+			s.QueueComplexes[0].Blocks = []string{"b", "ghost"}
+		}, "unknown block"},
 		{"job queued twice", func(s *snapshot) { s.Queue = []int{1, 1} }, "twice"},
 		{"job queued and active", func(s *snapshot) { s.Active = []int{1} }, "twice"},
 		{"log entry of unknown kind", func(s *snapshot) {

@@ -79,14 +79,3 @@ func (s *System) Backlog() float64 {
 	}
 	return total
 }
-
-// BlockNames returns the resource-block names in registration order —
-// the deterministic iteration order for callers that must pick blocks
-// without touching the Blocks map's random order.
-func (s *System) BlockNames() []string {
-	names := make([]string, len(s.blocks))
-	for i, b := range s.blocks {
-		names[i] = b.Name
-	}
-	return names
-}

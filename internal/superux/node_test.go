@@ -18,9 +18,9 @@ func TestAllBlocksDownIsTerminal(t *testing.T) {
 	id := s.Submit(Job{Name: "j", Block: "batch", CPUs: 4, MemGB: 8, Seconds: 100})
 	s.Advance()
 
-	for name, b := range s.Blocks {
+	for _, b := range s.blocks {
 		if !b.Failed {
-			t.Fatalf("block %s survived two CPU failures", name)
+			t.Fatalf("block %s survived two CPU failures", b.Name)
 		}
 	}
 	if got := jobAt(s, id).State; got != Failed {
@@ -239,17 +239,5 @@ func TestBacklogCountsRunningRemainderAndQueue(t *testing.T) {
 	s.AdvanceUntil(4)
 	if got := s.Backlog(); got != 13 {
 		t.Fatalf("backlog at t=4 = %v, want 13 (6 remaining + 7 queued)", got)
-	}
-}
-
-func TestBlockNamesIsACopyInRegistrationOrder(t *testing.T) {
-	s := twoBlockSystem()
-	names := s.BlockNames()
-	if len(names) != 2 || names[0] != "batch" || names[1] != "spare" {
-		t.Fatalf("BlockNames = %v, want [batch spare]", names)
-	}
-	names[0] = "clobbered"
-	if s.BlockNames()[0] != "batch" {
-		t.Error("BlockNames exposed internal state")
 	}
 }

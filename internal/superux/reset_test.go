@@ -3,7 +3,6 @@ package superux
 import (
 	"bytes"
 	"encoding/gob"
-	"reflect"
 	"testing"
 
 	"sx4bench/internal/fault"
@@ -36,29 +35,40 @@ func busyBlocks() []ResourceBlock {
 	}
 }
 
-// decoded is a checkpoint's decoded snapshot. Raw checkpoint bytes are
-// not comparable across calls: gob writes a map in Go's randomized
-// iteration order.
-func decoded(t *testing.T, s *System) (snapshot, int) {
+// checkpoint returns s's checkpoint bytes.
+func checkpoint(t *testing.T, s *System) []byte {
 	t.Helper()
 	data, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		t.Fatal(err)
+	return data
+}
+
+// TestCheckpointIsDeterministic pins that one state encodes to one
+// byte string: repeated checkpoints of a faulted system with a complex
+// and a migration are identical.
+func TestCheckpointIsDeterministic(t *testing.T) {
+	s := NewSystem(busyBlocks()...)
+	busyHistory(s)
+	want := checkpoint(t, s)
+	for i := 1; i < 50; i++ {
+		if got := checkpoint(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d differs from the first (%d vs %d bytes)", i, len(got), len(want))
+		}
 	}
-	return snap, len(data)
 }
 
 // TestResetMatchesNewSystem runs one history on a fresh system and on
 // a system that a different history (faults, a migration, a complex,
-// another block set) left dirty and Reset then cleaned: the checkpoints
-// and every job's qcat text must match.
+// another block set) left dirty and Reset then cleaned: the checkpoint
+// bytes and every job's qcat text must match.
 func TestResetMatchesNewSystem(t *testing.T) {
 	ref := NewSystem(busyBlocks()...)
 	busyHistory(ref)
+	if len(ref.log) == 0 || ref.faultsDelivered != 2 {
+		t.Fatalf("history too tame: %d log lines, %d faults", len(ref.log), ref.faultsDelivered)
+	}
 
 	reused := NewSystem(ResourceBlock{Name: "inter", MaxCPUs: 2, MemGB: 4, Policy: FIFO},
 		ResourceBlock{Name: "spare", MaxCPUs: 16, MemGB: 64, Policy: FIFO},
@@ -71,22 +81,18 @@ func TestResetMatchesNewSystem(t *testing.T) {
 	}
 	reused.Advance()
 	reused.Reset(busyBlocks()...)
-	if reused.NumJobs() != 0 || reused.Clock != 0 || len(reused.Complexes) != 0 || len(reused.Blocks) != 2 {
+	if reused.NumJobs() != 0 || reused.Clock != 0 || len(reused.complexes) != 0 || len(reused.blocks) != 2 {
 		t.Fatalf("Reset left %d jobs, clock %v, %d complexes, %d blocks",
-			reused.NumJobs(), reused.Clock, len(reused.Complexes), len(reused.Blocks))
+			reused.NumJobs(), reused.Clock, len(reused.complexes), len(reused.blocks))
 	}
 	if _, ok := reused.NextEventAt(); ok {
 		t.Fatal("Reset kept the old fault schedule")
 	}
 	busyHistory(reused)
 
-	want, wantLen := decoded(t, ref)
-	got, gotLen := decoded(t, reused)
-	if !reflect.DeepEqual(got, want) || gotLen != wantLen {
-		t.Errorf("checkpoint after Reset differs from a fresh system's (%d vs %d bytes):\n%+v\n%+v", gotLen, wantLen, got, want)
-	}
-	if len(want.Log) == 0 || want.FaultsDelivered != 2 {
-		t.Fatalf("history too tame: %d log lines, %d faults", len(want.Log), want.FaultsDelivered)
+	want := checkpoint(t, ref)
+	if got := checkpoint(t, reused); !bytes.Equal(got, want) {
+		t.Errorf("checkpoint after Reset differs from a fresh system's (%d vs %d bytes)", len(got), len(want))
 	}
 	for id := 1; id <= ref.NumJobs(); id++ {
 		w, _ := ref.QCat(id)
@@ -98,7 +104,7 @@ func TestResetMatchesNewSystem(t *testing.T) {
 	var zero System
 	zero.Reset(busyBlocks()...)
 	busyHistory(&zero)
-	if z, _ := decoded(t, &zero); !reflect.DeepEqual(z, want) {
+	if !bytes.Equal(checkpoint(t, &zero), want) {
 		t.Error("Reset of a zero System differs from NewSystem")
 	}
 }
@@ -126,16 +132,13 @@ func TestJobAccessor(t *testing.T) {
 // order back in queue order before anything dispatches from it.
 func TestRestartSortsTheQueue(t *testing.T) {
 	snap := snapshot{
-		Blocks:    map[string]ResourceBlock{"b": {Name: "b", MaxCPUs: 4, MemGB: 32}},
-		Complexes: map[string]Complex{},
-		Jobs: map[int]Job{
-			1: {ID: 1, Name: "first", Block: "b", CPUs: 4, MemGB: 1, Seconds: 5, State: Queued},
-			2: {ID: 2, Name: "second", Block: "b", CPUs: 4, MemGB: 1, Seconds: 5, State: Queued},
-			3: {ID: 3, Name: "urgent", Block: "b", CPUs: 4, MemGB: 1, Seconds: 5, State: Queued, Priority: 1},
+		Blocks: []ResourceBlock{{Name: "b", MaxCPUs: 4, MemGB: 32}},
+		Jobs: []Job{
+			{ID: 1, Name: "first", Block: "b", CPUs: 4, MemGB: 1, Seconds: 5, State: Queued},
+			{ID: 2, Name: "second", Block: "b", CPUs: 4, MemGB: 1, Seconds: 5, State: Queued},
+			{ID: 3, Name: "urgent", Block: "b", CPUs: 4, MemGB: 1, Seconds: 5, State: Queued, Priority: 1},
 		},
-		NextID: 3,
-		Order:  []string{"b"},
-		Queue:  []int{2, 1, 3},
+		Queue: []int{2, 1, 3},
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {

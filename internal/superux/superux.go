@@ -120,13 +120,11 @@ type Complex struct {
 
 // System is the simulated SUPER-UX instance.
 type System struct {
-	Blocks    map[string]*ResourceBlock
-	Complexes map[string]Complex
+	Clock float64
 
-	Clock  float64
-	nextID int
-	blocks []*ResourceBlock // Blocks' values in registration order (determinism)
-	store  []ResourceBlock  // backing storage for blocks, kept by Reset
+	blocks    []ResourceBlock // in registration order
+	complexes []Complex       // in registration order
+	nextID    int
 	// jobs is the job table: job id lives at jobs[(id-1)/jobChunk]
 	// [(id-1)%jobChunk]. Submit hands out ids 1, 2, 3 …, so the table
 	// is dense, and fixed-size chunks let it grow without moving a job.
@@ -181,29 +179,11 @@ func NewSystem(blocks ...ResourceBlock) *System {
 // while keeping its storage for reuse. Block names must be unique and
 // CPU limits positive.
 func (s *System) Reset(blocks ...ResourceBlock) {
-	if s.Blocks == nil {
-		s.Blocks = map[string]*ResourceBlock{}
-		s.Complexes = map[string]Complex{}
-	} else {
-		clear(s.Blocks)
-		clear(s.Complexes)
+	if err := checkBlocks(blocks); err != nil {
+		panic("superux: " + err.Error())
 	}
-	if cap(s.store) < len(blocks) {
-		s.store = make([]ResourceBlock, len(blocks))
-	}
-	s.store = s.store[:len(blocks)]
-	s.blocks = s.blocks[:0]
-	for i, b := range blocks {
-		if b.MaxCPUs <= 0 || b.MinCPUs < 0 || b.MinCPUs > b.MaxCPUs {
-			panic(fmt.Sprintf("superux: bad CPU limits in block %q", b.Name))
-		}
-		if _, dup := s.Blocks[b.Name]; dup {
-			panic(fmt.Sprintf("superux: duplicate block %q", b.Name))
-		}
-		s.store[i] = b
-		s.Blocks[b.Name] = &s.store[i]
-		s.blocks = append(s.blocks, &s.store[i])
-	}
+	s.blocks = append(s.blocks[:0], blocks...)
+	s.complexes = s.complexes[:0]
 	s.Clock, s.nextID, s.nextDone = 0, 0, 0
 	s.queue, s.active, s.log = s.queue[:0], s.active[:0], s.log[:0]
 	s.SetInjector(nil)
@@ -231,24 +211,46 @@ func (s *System) slot(id int) *jobSlot {
 	return &s.jobs[i/jobChunk][i%jobChunk]
 }
 
-// blockIndex returns the registration index of the named block, or
-// -1.
-func (s *System) blockIndex(name string) int {
-	for i, b := range s.blocks {
-		if b.Name == name {
+// checkBlocks reports the first block with bad CPU limits or a name an
+// earlier block already took.
+func checkBlocks(blocks []ResourceBlock) error {
+	for i, b := range blocks {
+		if b.MaxCPUs <= 0 || b.MinCPUs < 0 || b.MinCPUs > b.MaxCPUs {
+			return fmt.Errorf("bad CPU limits in block %q", b.Name)
+		}
+		if blockIndex(blocks[:i], b.Name) >= 0 {
+			return fmt.Errorf("duplicate block %q", b.Name)
+		}
+	}
+	return nil
+}
+
+// blockIndex returns the index of the named block in blocks, or -1.
+func blockIndex(blocks []ResourceBlock, name string) int {
+	for i := range blocks {
+		if blocks[i].Name == name {
 			return i
 		}
 	}
 	return -1
 }
 
+// addSlot hands out the next job id and returns its table entry.
+func (s *System) addSlot() *jobSlot {
+	s.nextID++
+	if i := uint(s.nextID - 1); i/jobChunk == uint(len(s.jobs)) {
+		s.jobs = append(s.jobs, new([jobChunk]jobSlot))
+	}
+	return s.slot(s.nextID)
+}
+
 // Submit enqueues a job and returns its ID.
 func (s *System) Submit(j Job) int {
-	bi := s.blockIndex(j.Block)
+	bi := blockIndex(s.blocks, j.Block)
 	if bi < 0 {
 		panic(fmt.Sprintf("superux: unknown resource block %q", j.Block))
 	}
-	blk := s.blocks[bi]
+	blk := &s.blocks[bi]
 	if j.CPUs <= 0 || j.CPUs > blk.MaxCPUs {
 		panic(fmt.Sprintf("superux: job %q requests %d CPUs; block %q allows up to %d",
 			j.Name, j.CPUs, j.Block, blk.MaxCPUs))
@@ -256,14 +258,10 @@ func (s *System) Submit(j Job) int {
 	if j.MemGB > blk.MemGB {
 		panic(fmt.Sprintf("superux: job %q exceeds block memory", j.Name))
 	}
-	s.nextID++
+	sl := s.addSlot()
 	j.ID = s.nextID
 	j.State = Queued
 	j.SubmitAt = s.Clock
-	if i := uint(j.ID - 1); i/jobChunk == uint(len(s.jobs)) {
-		s.jobs = append(s.jobs, new([jobChunk]jobSlot))
-	}
-	sl := s.slot(j.ID)
 	sl.Job, sl.blk = j, bi
 	// A submission against a block a fault already took down is
 	// rebound to a surviving block, or reported failed — not dropped.
@@ -311,24 +309,40 @@ func (s *System) enqueue(id int) {
 // checkpointed jobs at the tail.
 func (s *System) sortQueue() { slices.SortFunc(s.queue, s.queueOrder) }
 
-// AddComplex registers a queue complex. Member blocks must exist and
-// the run limit must be positive.
+// AddComplex registers a queue complex, replacing any complex of the
+// same name. Member blocks must exist and the run limit must be
+// positive.
 func (s *System) AddComplex(c Complex) {
-	if c.RunLimit <= 0 {
-		panic(fmt.Sprintf("superux: complex %q needs a positive run limit", c.Name))
+	if err := checkComplex(c, s.blocks); err != nil {
+		panic("superux: " + err.Error())
 	}
-	for _, b := range c.Blocks {
-		if _, ok := s.Blocks[b]; !ok {
-			panic(fmt.Sprintf("superux: complex %q references unknown block %q", c.Name, b))
+	for i := range s.complexes {
+		if s.complexes[i].Name == c.Name {
+			s.complexes[i] = c
+			return
 		}
 	}
-	s.Complexes[c.Name] = c
+	s.complexes = append(s.complexes, c)
+}
+
+// checkComplex reports a complex whose run limit is not positive or
+// that names a block outside blocks.
+func checkComplex(c Complex, blocks []ResourceBlock) error {
+	if c.RunLimit <= 0 {
+		return fmt.Errorf("complex %q needs a positive run limit", c.Name)
+	}
+	for _, b := range c.Blocks {
+		if blockIndex(blocks, b) < 0 {
+			return fmt.Errorf("complex %q references unknown block %q", c.Name, b)
+		}
+	}
+	return nil
 }
 
 // complexAllows reports whether starting one more job in block would
 // stay inside every complex limit covering that block.
 func (s *System) complexAllows(block string) bool {
-	for _, c := range s.Complexes {
+	for _, c := range s.complexes {
 		if !slices.Contains(c.Blocks, block) {
 			continue
 		}
@@ -359,10 +373,10 @@ func (s *System) dispatch() {
 	remaining := s.queue[:0]
 	for _, id := range s.queue {
 		j := s.slot(id)
-		blk := s.blocks[j.blk]
+		blk := &s.blocks[j.blk]
 		fits := !blk.Failed &&
 			blk.usedCPUs+j.CPUs <= blk.MaxCPUs && blk.usedMem+j.MemGB <= blk.MemGB &&
-			(len(s.Complexes) == 0 || s.complexAllows(j.Block))
+			(len(s.complexes) == 0 || s.complexAllows(j.Block))
 		if stalled[j.blk] || !fits {
 			if blk.Policy == FIFO {
 				stalled[j.blk] = true // preserve order: later jobs wait
@@ -441,7 +455,7 @@ func (s *System) complete(next int) {
 	j := s.slot(next)
 	s.Clock = j.FinishAt
 	j.State = Done
-	blk := s.blocks[j.blk]
+	blk := &s.blocks[j.blk]
 	blk.usedCPUs -= j.CPUs
 	blk.usedMem -= j.MemGB
 	s.deactivate(next)
@@ -531,17 +545,17 @@ func (s *System) Makespan() float64 {
 
 // --- checkpoint / restart ---
 
-// snapshot is the serializable scheduler state. The fault injector is
-// deliberately not serialized (it is an interface the runner owns);
-// FaultsDelivered survives so a restarted system with the same
-// schedule re-attached never redelivers an already-applied fault.
+// snapshot is the serializable scheduler state: blocks and complexes
+// in registration order and job id i+1 at Jobs[i], so one state always
+// encodes to one byte string. The fault injector is deliberately not
+// serialized (it is an interface the runner owns); FaultsDelivered
+// survives so a restarted system with the same schedule re-attached
+// never redelivers an already-applied fault.
 type snapshot struct {
-	Blocks          map[string]ResourceBlock
-	Complexes       map[string]Complex
-	Jobs            map[int]Job
+	Blocks          []ResourceBlock
+	QueueComplexes  []Complex
+	Jobs            []Job
 	Clock           float64
-	NextID          int
-	Order           []string
 	Queue           []int
 	Active          []int
 	Log             []logEntry
@@ -552,25 +566,17 @@ type snapshot struct {
 // is required of the jobs.
 func (s *System) Checkpoint() ([]byte, error) {
 	snap := snapshot{
-		Blocks:          map[string]ResourceBlock{},
-		Complexes:       map[string]Complex{},
-		Jobs:            map[int]Job{},
+		Blocks:          s.blocks,
+		QueueComplexes:  s.complexes,
+		Jobs:            make([]Job, s.nextID),
 		Clock:           s.Clock,
-		NextID:          s.nextID,
-		Order:           s.BlockNames(),
-		Queue:           append([]int(nil), s.queue...),
-		Active:          append([]int(nil), s.active...),
-		Log:             append([]logEntry(nil), s.log...),
+		Queue:           s.queue,
+		Active:          s.active,
+		Log:             s.log,
 		FaultsDelivered: s.faultsDelivered,
 	}
-	for name, c := range s.Complexes {
-		snap.Complexes[name] = c
-	}
-	for name, b := range s.Blocks {
-		snap.Blocks[name] = *b
-	}
-	for id := 1; id <= s.nextID; id++ {
-		snap.Jobs[id] = s.slot(id).Job
+	for i := range snap.Jobs {
+		snap.Jobs[i] = s.slot(i + 1).Job
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
@@ -580,15 +586,15 @@ func (s *System) Checkpoint() ([]byte, error) {
 }
 
 // Restart reconstructs a system from a checkpoint. A corrupt snapshot
-// — negative clock, unknown job state, a block stored under another
-// block's name or with bad CPU limits, a block order that does not
-// name every block exactly once, job ids other than 1 through the job
-// counter, a job stored under another job's id or referencing an
-// undefined resource block, a queue/active/log entry naming a missing
-// job, a job queued or running twice, or a log entry of unknown kind
-// — is rejected rather than round-tripped silently. The queue is put
-// in queue order. The fault schedule is not part of the checkpoint;
-// re-attach it with SetInjector.
+// — negative or NaN clock, negative delivered-fault count, a block
+// with bad CPU limits or a name an earlier block took, a complex with
+// a run limit below one or naming an undefined block, a job out of id
+// order, of unknown state or bound to an undefined block, a
+// queue/active/log entry naming a missing job, a job queued or running
+// twice, or a log entry of unknown kind — is an error, never a panic
+// or a silent round trip. The queue is put in queue order. The fault
+// schedule is not part of the checkpoint; re-attach it with
+// SetInjector.
 func Restart(data []byte) (*System, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -597,24 +603,15 @@ func Restart(data []byte) (*System, error) {
 	if err := snap.validate(); err != nil {
 		return nil, fmt.Errorf("superux: restart: %w", err)
 	}
-	blocks := make([]ResourceBlock, len(snap.Order))
-	for i, name := range snap.Order {
-		blocks[i] = snap.Blocks[name]
+	s := NewSystem(snap.Blocks...)
+	for _, c := range snap.QueueComplexes {
+		s.AddComplex(c)
 	}
-	s := NewSystem(blocks...)
 	s.Clock = snap.Clock
 	s.faultsDelivered = snap.FaultsDelivered
-	for name, c := range snap.Complexes {
-		s.Complexes[name] = c
-	}
-	for id := 1; id <= snap.NextID; id++ {
-		j := snap.Jobs[id]
-		if id > len(s.jobs)*jobChunk {
-			s.jobs = append(s.jobs, new([jobChunk]jobSlot))
-		}
-		s.nextID = id
-		sl := s.slot(id)
-		sl.Job, sl.blk = j, s.blockIndex(j.Block)
+	for _, j := range snap.Jobs {
+		sl := s.addSlot()
+		sl.Job, sl.blk = j, blockIndex(s.blocks, j.Block)
 	}
 	s.queue, s.active, s.log = snap.Queue, snap.Active, snap.Log
 	s.sortQueue()
@@ -622,7 +619,7 @@ func Restart(data []byte) (*System, error) {
 	// unexported and not serialized).
 	for _, id := range s.active {
 		j := s.slot(id)
-		blk := s.blocks[j.blk]
+		blk := &s.blocks[j.blk]
 		blk.usedCPUs += j.CPUs
 		blk.usedMem += j.MemGB
 	}
@@ -634,38 +631,32 @@ func (snap *snapshot) validate() error {
 	switch {
 	case snap.Clock < 0 || snap.Clock != snap.Clock:
 		return fmt.Errorf("negative or NaN clock %v", snap.Clock)
-	case snap.NextID < 0:
-		return fmt.Errorf("negative job counter %d", snap.NextID)
 	case snap.FaultsDelivered < 0:
 		return fmt.Errorf("negative delivered-fault count %d", snap.FaultsDelivered)
-	case len(snap.Jobs) != snap.NextID:
-		return fmt.Errorf("checkpoint holds %d jobs, the job counter says %d", len(snap.Jobs), snap.NextID)
 	}
-	for name, b := range snap.Blocks {
-		if b.Name != name {
-			return fmt.Errorf("block %q is stored under name %q", b.Name, name)
-		}
-		if b.MaxCPUs <= 0 || b.MinCPUs < 0 || b.MinCPUs > b.MaxCPUs {
-			return fmt.Errorf("block %q has bad CPU limits", name)
+	if err := checkBlocks(snap.Blocks); err != nil {
+		return err
+	}
+	for _, c := range snap.QueueComplexes {
+		if err := checkComplex(c, snap.Blocks); err != nil {
+			return err
 		}
 	}
-	for id, j := range snap.Jobs {
-		if id < 1 || id > snap.NextID {
-			return fmt.Errorf("job id %d is outside 1..%d", id, snap.NextID)
-		}
-		if j.ID != id {
-			return fmt.Errorf("job %d is stored under id %d", j.ID, id)
+	for i, j := range snap.Jobs {
+		if j.ID != i+1 {
+			return fmt.Errorf("job %d is stored as job %d", j.ID, i+1)
 		}
 		if j.State < Queued || j.State > Migrated {
-			return fmt.Errorf("job %d has unknown state %d", id, int(j.State))
+			return fmt.Errorf("job %d has unknown state %d", j.ID, int(j.State))
 		}
-		if _, ok := snap.Blocks[j.Block]; !ok {
-			return fmt.Errorf("job %d references undefined resource block %q", id, j.Block)
+		if blockIndex(snap.Blocks, j.Block) < 0 {
+			return fmt.Errorf("job %d references undefined resource block %q", j.ID, j.Block)
 		}
 	}
+	exists := func(id int) bool { return id >= 1 && id <= len(snap.Jobs) }
 	seen := make(map[int]bool, len(snap.Queue)+len(snap.Active))
 	for _, id := range slices.Concat(snap.Queue, snap.Active) {
-		if _, ok := snap.Jobs[id]; !ok {
+		if !exists(id) {
 			return fmt.Errorf("queued or active job %d does not exist", id)
 		}
 		if seen[id] {
@@ -674,22 +665,11 @@ func (snap *snapshot) validate() error {
 		seen[id] = true
 	}
 	for _, e := range snap.Log {
-		if _, ok := snap.Jobs[e.Job]; !ok {
+		if !exists(e.Job) {
 			return fmt.Errorf("log entry names job %d, which does not exist", e.Job)
 		}
 		if e.Kind > logFailed {
 			return fmt.Errorf("log entry for job %d has unknown kind %d", e.Job, e.Kind)
-		}
-	}
-	if len(snap.Order) != len(snap.Blocks) {
-		return fmt.Errorf("block order names %d blocks, the checkpoint holds %d", len(snap.Order), len(snap.Blocks))
-	}
-	for i, name := range snap.Order {
-		if _, ok := snap.Blocks[name]; !ok {
-			return fmt.Errorf("block order names undefined block %q", name)
-		}
-		if slices.Contains(snap.Order[:i], name) {
-			return fmt.Errorf("block order repeats block %q", name)
 		}
 	}
 	return nil

@@ -15,6 +15,11 @@ func jobAt(s *System, id int) Job {
 	return j
 }
 
+// blockNamed returns s's resource block of the given name.
+func blockNamed(s *System, name string) *ResourceBlock {
+	return &s.blocks[blockIndex(s.blocks, name)]
+}
+
 func batchBlock(cpus int) ResourceBlock {
 	return ResourceBlock{Name: "batch", MaxCPUs: cpus, MemGB: 8, Policy: FIFO}
 }
@@ -188,7 +193,7 @@ func TestComplexSurvivesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Complexes) != 1 {
+	if len(r.complexes) != 1 {
 		t.Fatal("complex lost in checkpoint")
 	}
 	r.Advance()
@@ -265,8 +270,8 @@ func TestCheckpointPreservesRunning(t *testing.T) {
 	if st, _ := r.Status(id); st != Running {
 		t.Errorf("restored job state = %v, want running", st)
 	}
-	if r.Blocks["batch"].usedCPUs != 4 {
-		t.Errorf("restored block usage = %d, want 4", r.Blocks["batch"].usedCPUs)
+	if got := blockNamed(r, "batch").usedCPUs; got != 4 {
+		t.Errorf("restored block usage = %d, want 4", got)
 	}
 	if end := r.Advance(); end != 30 {
 		t.Errorf("restored completion = %v, want 30", end)
