@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-facts test test-short race race-full perfbench-check bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
+.PHONY: all build vet fmt-check lint test test-short race race-full perfbench-check bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
 
 all: build vet lint test
 
@@ -17,10 +17,9 @@ fmt-check:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # sx4lint enforces the repo's determinism, layering and
-# golden-stability invariants (see DESIGN.md, "Static analysis").
-# Both entry points run: the standalone multichecker, and the same
-# binary driven by go vet's -vettool protocol (which caches per
-# package in the build cache).
+# golden-stability invariants (see DESIGN.md, "Static analysis"). One
+# run analyzes every package in one process, threading the
+# interprocedural facts along the import graph.
 SX4LINT_SRCS := go.mod $(wildcard cmd/sx4lint/*.go) $(shell find internal/analysis -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
 
 bin/sx4lint: $(SX4LINT_SRCS)
@@ -28,14 +27,6 @@ bin/sx4lint: $(SX4LINT_SRCS)
 
 lint: bin/sx4lint
 	./bin/sx4lint ./...
-	$(MAKE) lint-facts
-
-# lint-facts drives the facts-enabled unitchecker path: go vet invokes
-# bin/sx4lint once per package, threading the gob facts files along
-# the import graph — the mode in which detflow's cross-package taint
-# actually propagates (and the one CI caches per package).
-lint-facts: bin/sx4lint
-	$(GO) vet -vettool=$(abspath bin/sx4lint) ./...
 
 test:
 	$(GO) test ./...
@@ -60,7 +51,7 @@ bench:
 
 # What CI runs (see .github/workflows/ci.yml): the gofmt gate, vet
 # (plus staticcheck and govulncheck when installed — CI installs them,
-# local runs skip them gracefully), sx4lint, build, the full test suite under the race
+# local runs skip them gracefully), one sx4lint run, build, the full test suite under the race
 # detector, the registry tests run twice in one process (a test that
 # registers a machine without a guard fails there, not on someone's
 # -count run), the benchmark module's vet and tests, the golden-artifact
@@ -159,20 +150,20 @@ goldens-check:
 	$(GO) run ./cmd/goldens
 
 # Run each native fuzz target briefly (no new corpus is committed);
-# any panic or property violation fails the target. FuzzRestart's
-# inputs are kilobyte gob streams, which the default 60 s minimization
-# of each new input would spend the whole budget on, so its
-# minimization is capped.
+# any panic or property violation fails the target. Minimization is
+# capped at 100 runs per new input: at the default 60 s, a target that
+# finds one new input can spend the rest of its budget minimizing it
+# at 0 execs/s.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzProgramFingerprint$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzMachineRun$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCacheSnapshotLoad$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzProgramFingerprint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzMachineRun$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCacheSnapshotLoad$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/superux -run '^$$' -fuzz '^FuzzRestart$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
-	$(GO) test ./internal/target -run '^$$' -fuzz '^FuzzFPCacheBudget$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/target -run '^$$' -fuzz '^FuzzFPCacheBudget$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 # Aggregate statement coverage across all packages.
 cover:

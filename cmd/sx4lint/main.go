@@ -4,32 +4,25 @@
 // "Static analysis" section), three of them interprocedural via
 // facts threaded along the import graph.
 //
-// Two modes:
+// Usage:
 //
-//	sx4lint ./...                      # standalone multichecker
-//	go vet -vettool=$(pwd)/bin/sx4lint ./...   # vet driver protocol
+//	sx4lint [packages]    # default ./...
 //
-// The standalone mode loads packages itself (via `go list -export`)
-// and prints file:line:col diagnostics, exiting 1 if any. The vettool
-// mode speaks the go command's unitchecker protocol: -V=full / -flags
-// handshakes plus one JSON .cfg per package, diagnostics on stderr,
-// exit 2 when a package is dirty.
+// It loads the packages itself (via `go list -export`), analyzes them
+// in one process and prints file:line:col diagnostics on stdout,
+// exiting 1 if there are any and 2 if loading or analysis fails.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
-	"strings"
 
 	"sx4bench/internal/analysis"
 	"sx4bench/internal/analysis/sx4lint"
 )
 
 func main() {
-	printVersion := flag.String("V", "", "print version and exit (go vet handshake)")
-	printFlags := flag.Bool("flags", false, "print analyzer flags as JSON and exit (go vet handshake)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: sx4lint [packages]\n\nanalyzers:\n")
 		for _, a := range sx4lint.Analyzers() {
@@ -38,23 +31,7 @@ func main() {
 	}
 	flag.Parse()
 
-	if *printVersion != "" {
-		// The go command stamps its vet cache with this line; the
-		// content hash of the binary invalidates cached vet results
-		// whenever the analyzers change.
-		fmt.Printf("sx4lint version devel buildID=%s\n", selfID())
-		return
-	}
-	if *printFlags {
-		fmt.Println("[]")
-		return
-	}
-
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		diags, err := analysis.RunVetCfg(args[0], sx4lint.Analyzers())
-		exit(diags, err, os.Stderr, 2)
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -64,34 +41,14 @@ func main() {
 		os.Exit(2)
 	}
 	diags, err := analysis.Run(pkgs, sx4lint.Analyzers())
-	exit(diags, err, os.Stdout, 1)
-}
-
-// selfID content-hashes this executable for the -V=full handshake.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown"
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func exit(diags []analysis.Diagnostic, err error, w *os.File, dirtyCode int) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	for _, d := range diags {
-		fmt.Fprintln(w, d)
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		os.Exit(dirtyCode)
+		os.Exit(1)
 	}
-	os.Exit(0)
 }

@@ -1,7 +1,7 @@
 // Package analysis is a self-contained static-analysis framework
 // mirroring the golang.org/x/tools/go/analysis API surface on the
 // standard library alone (this repository builds offline, so the
-// x/tools module is not available). It powers sx4lint, the vettool
+// x/tools module is not available). It powers sx4lint, the checker
 // that promotes the repository's determinism, layering and
 // golden-stability invariants from "caught by a golden diff after the
 // fact" to "rejected at build time".
@@ -10,9 +10,11 @@
 // a Pass; a Pass exposes the parsed and type-checked package and
 // collects Diagnostics. Packages load through `go list -export`, with
 // imports resolved from compiler export data (see load.go), so every
-// analyzer sees fully type-checked syntax. The analysistest
-// subpackage runs analyzers over fixture trees with // want
-// expectations, exactly like its x/tools namesake.
+// analyzer sees fully type-checked syntax. Run analyzes every loaded
+// package in one process, and facts flow between packages through one
+// in-memory FactStore. The analysistest subpackage runs analyzers over
+// fixture trees with // want expectations, exactly like its x/tools
+// namesake.
 package analysis
 
 import (
@@ -31,8 +33,8 @@ type Analyzer struct {
 	// why it exists.
 	Doc string
 	// FactTypes declares the concrete fact types the analyzer may
-	// export or import (each a pointer to a gob-serializable struct,
-	// e.g. (*Nondeterministic)(nil)). Analyzers with no fact types are
+	// export or import (each a pointer to a struct, e.g.
+	// (*Nondeterministic)(nil)). Analyzers with no fact types are
 	// purely per-package.
 	FactTypes []Fact
 	// Run applies the analyzer to one package.
@@ -71,10 +73,9 @@ func (p *Pass) checkFactType(fact Fact) {
 
 // ExportObjectFact attaches fact to a package-level object, making it
 // visible to this analyzer's passes over every package that imports
-// obj's package (in-process via the shared fact store, across vet
-// invocations via the serialized facts files). Objects without a
-// stable path — locals, fields — silently export nothing: an importer
-// could never name them, so no cross-package flow is lost.
+// obj's package through the run's shared fact store. Objects without
+// a stable path — locals, fields — silently export nothing: an
+// importer could never name them, so no cross-package flow is lost.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	p.checkFactType(fact)
 	if p.facts == nil || obj == nil || obj.Pkg() == nil {

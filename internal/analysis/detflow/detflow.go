@@ -72,7 +72,7 @@ var criticalPrefixes = []string{
 }
 
 // maxReason caps taint reason chains so deep call graphs don't grow
-// unbounded gob payloads or unreadable diagnostics.
+// unbounded facts or unreadable diagnostics.
 const maxReason = 200
 
 type source struct {

@@ -1,11 +1,7 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
-	"os"
 	"reflect"
 	"sort"
 )
@@ -16,8 +12,7 @@ import (
 // ones (a leaf function proven nondeterministic taints its callers
 // three packages up). Facts mirror golang.org/x/tools/go/analysis
 // facts: each concrete fact is a pointer to a struct, declared in its
-// analyzer's FactTypes, and must be gob-serializable so the vettool
-// protocol can persist it between per-package vet invocations.
+// analyzer's FactTypes.
 type Fact interface {
 	// AFact marks the type as a fact; it has no behaviour.
 	AFact()
@@ -88,9 +83,11 @@ func factTypeName(f Fact) string {
 	return t.Name()
 }
 
-// A FactStore holds every fact exported during one analysis run (or
-// deserialized from dependency facts files in vettool mode). The zero
-// value is not usable; call NewFactStore.
+// A FactStore holds every fact exported during one analysis run. It
+// lives only in memory: Run visits packages in topological import
+// order over one store, so a package's facts are complete before any
+// importer reads them. The zero value is not usable; call
+// NewFactStore.
 type FactStore struct {
 	facts map[factKey]Fact
 }
@@ -109,11 +106,7 @@ func (s *FactStore) get(analyzer, pkg, obj, typ string) (Fact, bool) {
 	return f, ok
 }
 
-// Len reports the number of stored facts.
-func (s *FactStore) Len() int { return len(s.facts) }
-
-// A FactRecord is the serialized form of one stored fact — the unit
-// the vettool facts files (gob) and the round-trip validation work in.
+// A FactRecord is one stored fact with its owner, as Records lists it.
 type FactRecord struct {
 	Analyzer string
 	Pkg      string
@@ -121,9 +114,8 @@ type FactRecord struct {
 	Fact     Fact
 }
 
-// Records returns every stored fact as a deterministically ordered
-// slice (sorted by analyzer, package, object, fact type), so two
-// stores holding the same facts always encode to the same bytes.
+// Records returns every stored fact, sorted by analyzer, package,
+// object and fact type, so tests can inspect what a run exported.
 func (s *FactStore) Records() []FactRecord {
 	keys := make([]factKey, 0, len(s.facts))
 	for k := range s.facts {
@@ -147,101 +139,4 @@ func (s *FactStore) Records() []FactRecord {
 		recs = append(recs, FactRecord{Analyzer: k.analyzer, Pkg: k.pkg, Obj: k.obj, Fact: s.facts[k]})
 	}
 	return recs
-}
-
-// Encode serializes the store as a gob stream of sorted FactRecords.
-// Every fact type must have been registered (RegisterFactTypes).
-func (s *FactStore) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.Records()); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFacts deserializes a facts-file payload. An empty payload is a
-// valid empty fact set (the file a facts-free package writes).
-func DecodeFacts(data []byte) ([]FactRecord, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var recs []FactRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts: %v", err)
-	}
-	return recs, nil
-}
-
-// ReadFile merges the facts serialized in a facts file into the store.
-// Missing or empty files contribute nothing (a dependency analyzed by
-// an older facts-free sx4lint, or a facts-free package).
-func (s *FactStore) ReadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	recs, err := DecodeFacts(data)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	for _, r := range recs {
-		s.put(r.Analyzer, r.Pkg, r.Obj, r.Fact)
-	}
-	return nil
-}
-
-// WriteFileValidated atomically-enough writes the store to path and
-// then proves the file round-trips: the bytes are reread, decoded and
-// re-encoded, and must match what was written. A facts file that does
-// not survive its own round-trip would silently drop interprocedural
-// findings in every downstream package, so the failure is loud here
-// instead.
-func (s *FactStore) WriteFileValidated(path string) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		return err
-	}
-	reread := NewFactStore()
-	if err := reread.ReadFile(path); err != nil {
-		return fmt.Errorf("analysis: facts file %s does not reread: %v", path, err)
-	}
-	data2, err := reread.Encode()
-	if err != nil {
-		return fmt.Errorf("analysis: facts file %s does not re-encode: %v", path, err)
-	}
-	if !bytes.Equal(data, data2) {
-		return fmt.Errorf("analysis: facts file %s does not round-trip: %d bytes written, %d after reread",
-			path, len(data), len(data2))
-	}
-	return nil
-}
-
-// RegisterFactTypes registers every declared fact type of the given
-// analyzers with gob, a prerequisite for Encode/DecodeFacts. Multiple
-// registrations of the same type are harmless.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// FactProducers filters analyzers down to those declaring fact types —
-// the set worth running on a package analyzed only for its facts
-// (vettool VetxOnly mode).
-func FactProducers(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	for _, a := range analyzers {
-		if len(a.FactTypes) > 0 {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -1,10 +1,7 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"go/types"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -13,14 +10,12 @@ type testFact struct{ Note string }
 
 func (*testFact) AFact() {}
 
-func init() { gob.Register(&testFact{}) }
-
 func TestObjectPath(t *testing.T) {
-	pkg, err := LoadFixture(filepath.Join("detflow", "testdata", "src", "sx4bench", "internal", "fakeleaf"),
-		"sx4bench/internal/fakeleaf")
+	pkgs, err := LoadFixtures(filepath.Join("detflow", "testdata"), "sx4bench/internal/fakeleaf")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
+	pkg := pkgs[0]
 	scope := pkg.Types.Scope()
 
 	cases := []struct {
@@ -60,72 +55,27 @@ func TestObjectPath(t *testing.T) {
 
 func TestFactStoreRoundTrip(t *testing.T) {
 	s := NewFactStore()
+	s.put("det", "example.com/b", "M.T.Three", &testFact{Note: "three"})
+	s.put("det", "example.com/a", "F.Two", &testFact{Note: "stale"})
 	s.put("det", "example.com/a", "F.One", &testFact{Note: "one"})
 	s.put("det", "example.com/a", "F.Two", &testFact{Note: "two"})
-	s.put("det", "example.com/b", "M.T.Three", &testFact{Note: "three"})
 
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
+	if f, _ := s.get("det", "example.com/a", "F.Two", "testFact"); f == nil || f.(*testFact).Note != "two" {
+		t.Fatalf("get(F.Two) = %#v; want the later export", f)
 	}
-	recs, err := DecodeFacts(data)
-	if err != nil {
-		t.Fatalf("DecodeFacts: %v", err)
+	if _, ok := s.get("other", "example.com/a", "F.One", "testFact"); ok {
+		t.Fatal("a fact leaked across analyzers")
 	}
+
+	recs := s.Records()
 	if len(recs) != 3 {
-		t.Fatalf("decoded %d records, want 3", len(recs))
+		t.Fatalf("Records holds %d facts, want 3", len(recs))
 	}
-	// Records are sorted, so encoding is deterministic.
+	// Records are sorted, so they do not depend on export order.
 	if recs[0].Obj != "F.One" || recs[1].Obj != "F.Two" || recs[2].Obj != "M.T.Three" {
 		t.Fatalf("record order %q %q %q not sorted", recs[0].Obj, recs[1].Obj, recs[2].Obj)
 	}
 	if f, ok := recs[0].Fact.(*testFact); !ok || f.Note != "one" {
 		t.Fatalf("fact payload lost: %#v", recs[0].Fact)
-	}
-	data2, err := s.Encode()
-	if err != nil {
-		t.Fatalf("second Encode: %v", err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("two encodings of the same store differ")
-	}
-
-	if recs, err := DecodeFacts(nil); err != nil || len(recs) != 0 {
-		t.Fatalf("DecodeFacts(empty) = %v, %v; want empty, nil", recs, err)
-	}
-}
-
-func TestWriteFileValidated(t *testing.T) {
-	s := NewFactStore()
-	s.put("det", "example.com/a", "F.One", &testFact{Note: "one"})
-	path := filepath.Join(t.TempDir(), "facts.vetx")
-	if err := s.WriteFileValidated(path); err != nil {
-		t.Fatalf("WriteFileValidated: %v", err)
-	}
-
-	reread := NewFactStore()
-	if err := reread.ReadFile(path); err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if reread.Len() != 1 {
-		t.Fatalf("reread %d facts, want 1", reread.Len())
-	}
-	if f, ok := reread.get("det", "example.com/a", "F.One", "testFact"); !ok {
-		t.Fatal("fact missing after reread")
-	} else if tf, ok := f.(*testFact); !ok || tf.Note != "one" {
-		t.Fatalf("fact corrupted after reread: %#v", f)
-	}
-
-	// Corrupt bytes must fail loudly, not decode to garbage.
-	if err := os.WriteFile(path, []byte("not a gob stream"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewFactStore().ReadFile(path); err == nil {
-		t.Fatal("ReadFile accepted a corrupt facts file")
-	}
-
-	// Missing files are an empty contribution, not an error.
-	if err := NewFactStore().ReadFile(filepath.Join(t.TempDir(), "absent.vetx")); err != nil {
-		t.Fatalf("ReadFile(missing) = %v, want nil", err)
 	}
 }

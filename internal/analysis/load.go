@@ -89,7 +89,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // listed in exports; paths outside the map resolve to empty
 // placeholder packages (fixture mode references only names it
 // resolves, and the strict repo load always has a complete map).
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+func exportImporter(fset *token.FileSet, exports map[string]string) *fallbackImporter {
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -177,31 +177,17 @@ func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, 
 	return pkg, nil
 }
 
-// LoadFixture loads one analysistest fixture package: every .go file
-// directly in dir, type-checked as importPath. Imports resolvable by
-// the go command (the standard library, and real module packages when
-// a fixture mimics one) are loaded from export data; anything else
-// becomes an empty placeholder, so fixtures may import fictional
-// paths as long as they only blank-import them.
-func LoadFixture(dir, importPath string) (*Package, error) {
-	// dir is testdata/src/<importPath>; recover the testdata root.
-	testdata := dir
-	for range strings.Split(importPath, "/") {
-		testdata = filepath.Dir(testdata)
-	}
-	testdata = filepath.Dir(testdata) // strip "src"
-	pkgs, err := LoadFixtures(testdata, importPath)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
-// LoadFixtures loads several fixture packages from a GOPATH-shaped
-// testdata tree (testdata/src/<importPath>/*.go) into one shared
-// FileSet, in the given order. A later package may import an earlier
-// one — the import resolves to the source-checked earlier package, the
-// setup that lets fixture tests exercise cross-package fact flow.
+// LoadFixtures loads analysistest fixture packages from a
+// GOPATH-shaped testdata tree: every .go file directly in
+// testdata/src/<importPath>, type-checked as importPath, all into one
+// shared FileSet in the given order. A later package may import an
+// earlier one — the import resolves to the source-checked earlier
+// package, the setup that lets fixture tests exercise cross-package
+// fact flow. Other imports resolvable by the go command (the standard
+// library, and real module packages when a fixture mimics one) are
+// loaded from export data; anything else becomes an empty
+// placeholder, so fixtures may import fictional paths as long as they
+// only blank-import them.
 func LoadFixtures(testdata string, importPaths ...string) ([]*Package, error) {
 	fixture := map[string]bool{}
 	for _, ip := range importPaths {
@@ -244,7 +230,7 @@ func LoadFixtures(testdata string, importPaths ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports).(*fallbackImporter)
+	imp := exportImporter(fset, exports)
 	pkgs := make([]*Package, len(importPaths))
 	for i, ip := range importPaths {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(ip))

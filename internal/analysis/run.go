@@ -20,10 +20,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunFacts(pkgs, analyzers, NewFactStore())
 }
 
-// RunFacts is Run with a caller-supplied fact store: facts already in
-// the store (deserialized from dependency facts files in vettool mode)
-// are visible to the analyzers, and facts they export accumulate into
-// it for the caller to serialize.
+// RunFacts is Run with a caller-supplied fact store, into which the
+// facts the analyzers export accumulate, so a test can inspect them.
 func RunFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range topoOrder(pkgs) {

@@ -1,6 +1,5 @@
 // Package sx4lint assembles the repository's analyzer suite: the one
-// list cmd/sx4lint, the vettool mode, and the self-check test all
-// share.
+// list cmd/sx4lint and the self-check test share.
 package sx4lint
 
 import (

@@ -97,15 +97,10 @@ func (m Mismatch) String() string {
 	return fmt.Sprintf("%s: differs from %s at %s", m.ID, m.Path, m.Diff)
 }
 
-// Verify renders every artifact on a fresh benchmarked machine and
-// compares the output byte-for-byte against the goldens in dir. It
+// VerifyIDs renders the given artifacts on a fresh benchmarked machine
+// and compares the output byte-for-byte against the goldens in dir. It
 // returns one Mismatch per differing or missing artifact; rendering or
 // filesystem failures (other than a missing golden) are errors.
-func Verify(dir string) ([]Mismatch, error) {
-	return VerifyIDs(dir, Artifacts())
-}
-
-// VerifyIDs is Verify restricted to the given artifact ids.
 func VerifyIDs(dir string, ids []string) ([]Mismatch, error) {
 	m := sx4bench.Benchmarked()
 	var out []Mismatch
@@ -130,15 +125,10 @@ func VerifyIDs(dir string, ids []string) ([]Mismatch, error) {
 	return out, nil
 }
 
-// Update renders every artifact and rewrites the goldens in dir,
-// returning the ids whose files were created or changed. An update run
-// on an unchanged model is a no-op with an empty changed list, so
-// `cmd/goldens -update` round-trips to a clean git diff.
-func Update(dir string) ([]string, error) {
-	return UpdateIDs(dir, Artifacts())
-}
-
-// UpdateIDs is Update restricted to the given artifact ids.
+// UpdateIDs renders the given artifacts and rewrites their goldens in
+// dir, returning the ids whose files were created or changed. An
+// update run on an unchanged model is a no-op with an empty changed
+// list, so `cmd/goldens -update` round-trips to a clean git diff.
 func UpdateIDs(dir string, ids []string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 // if intentional, regenerate with `make goldens` (or
 // `go run ./cmd/goldens -update`) and review the git diff.
 func TestGoldenArtifacts(t *testing.T) {
-	mismatches, err := Verify("testdata/goldens")
+	mismatches, err := VerifyIDs("testdata/goldens", Artifacts())
 	if err != nil {
 		t.Fatal(err)
 	}

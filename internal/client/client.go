@@ -84,6 +84,9 @@ func New(cfg Config) *Client {
 	if cfg.Sleep == nil {
 		cfg.Sleep = sleepWall
 	}
+	if cfg.HTTP == nil {
+		cfg.HTTP = http.DefaultClient
+	}
 	return &Client{cfg: cfg}
 }
 
@@ -144,69 +147,86 @@ func (e *StatusError) Error() string {
 // temporary — and nothing else is.
 func retryable(code int) bool { return code == http.StatusServiceUnavailable }
 
-// do issues one request with the retry loop: transport errors and
-// retryable statuses back off and try again (waiting at least the
-// server's Retry-After hint), everything else returns immediately.
-// The response body is fully read and returned; callers never see a
-// live connection.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
+// retry runs attempt until it succeeds or fails for good. A transport
+// error or a retryable status backs off and tries again, waiting at
+// least the server's Retry-After hint; any other failure, and any
+// failure of an attempt that already delivered something to the
+// caller, returns at once.
+func (c *Client) retry(ctx context.Context, attempt func() (delivered bool, err error)) error {
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			wait := Backoff(uint64(c.cfg.JitterSeed), attempt, c.cfg.BaseBackoff, c.cfg.MaxBackoff)
+	for n := 0; ; n++ {
+		if n > 0 {
+			wait := Backoff(uint64(c.cfg.JitterSeed), n, c.cfg.BaseBackoff, c.cfg.MaxBackoff)
 			if ra := retryAfterOf(lastErr); ra > wait {
 				wait = ra
 			}
 			if err := c.cfg.Sleep(ctx, wait); err != nil {
-				return nil, nil, fmt.Errorf("client: giving up during backoff: %w", err)
+				return fmt.Errorf("client: giving up during backoff: %w", err)
 			}
 		}
-		resp, data, err := c.once(ctx, method, path, body)
+		delivered, err := attempt()
 		if err == nil {
-			return resp, data, nil
+			return nil
 		}
 		lastErr = err
 		var se *StatusError
-		if errors.As(err, &se) && !retryable(se.Code) {
-			return nil, nil, err
+		if delivered || (errors.As(err, &se) && !retryable(se.Code)) {
+			return err
 		}
-		if attempt >= c.cfg.MaxRetries {
-			return nil, nil, fmt.Errorf("client: %d attempts exhausted: %w", attempt+1, lastErr)
+		if n >= c.cfg.MaxRetries {
+			return fmt.Errorf("client: %d attempts exhausted: %w", n+1, lastErr)
 		}
 		if ctx.Err() != nil {
-			return nil, nil, fmt.Errorf("client: giving up: %w", context.Cause(ctx))
+			return fmt.Errorf("client: giving up: %w", context.Cause(ctx))
 		}
 	}
 }
 
-// once issues a single attempt.
-func (c *Client) once(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
+// send issues one request. A 2xx answer is returned with its body
+// unread; any other answer is read, closed and returned as a
+// *StatusError.
+func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
-	hc := c.cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.cfg.HTTP.Do(req)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: %w", err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: reading response: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	if resp.StatusCode/100 != 2 {
-		return nil, nil, statusError(resp, data)
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return nil, statusError(resp, data)
+	}
+	return resp, nil
+}
+
+// do issues one JSON request through the retry loop and returns the
+// answer with its body fully read; callers never see a live
+// connection.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (resp *http.Response, data []byte, err error) {
+	err = c.retry(ctx, func() (bool, error) {
+		r, err := c.send(ctx, method, path, "application/json", body)
+		if err != nil {
+			return false, err
+		}
+		defer r.Body.Close()
+		if data, err = io.ReadAll(r.Body); err != nil {
+			return false, fmt.Errorf("client: reading response: %w", err)
+		}
+		resp = r
+		return false, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return resp, data, nil
 }
@@ -270,9 +290,9 @@ func (c *Client) Run(ctx context.Context, req serve.RunRequest) (RunResult, erro
 }
 
 // Sweep submits requests as one NDJSON stream and calls fn with each
-// answer line, in input order, as it arrives. A 503 before any line is
-// consumed retries like Run (nothing was delivered, so the replay is
-// exact); once lines are flowing the stream is not restarted — the
+// answer line, in input order, as it arrives. A failed attempt retries
+// like Run while no line has reached fn (nothing was delivered, so the
+// replay is exact); once a line has, the stream is not restarted — the
 // caller re-sweeps if it must, and the daemon's cache makes the replay
 // cheap. fn returning an error stops the stream.
 func (c *Client) Sweep(ctx context.Context, reqs []serve.RunRequest, fn func(i int, line []byte) error) error {
@@ -285,46 +305,20 @@ func (c *Client) Sweep(ctx context.Context, reqs []serve.RunRequest, fn func(i i
 		body.Write(line)
 		body.WriteByte('\n')
 	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			wait := Backoff(uint64(c.cfg.JitterSeed), attempt, c.cfg.BaseBackoff, c.cfg.MaxBackoff)
-			if err := c.cfg.Sleep(ctx, wait); err != nil {
-				return fmt.Errorf("client: giving up during backoff: %w", err)
-			}
-		}
+	return c.retry(ctx, func() (bool, error) {
 		n, err := c.sweepOnce(ctx, body.Bytes(), fn)
-		if err == nil {
-			return nil
-		}
-		var se *StatusError
-		retriableStart := n == 0 && (errors.As(err, &se) && retryable(se.Code))
-		if !retriableStart || attempt >= c.cfg.MaxRetries {
-			return err
-		}
-	}
+		return n > 0, err
+	})
 }
 
 // sweepOnce streams one sweep attempt, returning how many answer lines
-// were delivered to fn.
+// reached fn.
 func (c *Client) sweepOnce(ctx context.Context, body []byte, fn func(i int, line []byte) error) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/sweep", bytes.NewReader(body))
+	resp, err := c.send(ctx, http.MethodPost, "/v1/sweep", "application/x-ndjson", body)
 	if err != nil {
-		return 0, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	hc := c.cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("client: %w", err)
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		data, _ := io.ReadAll(resp.Body)
-		return 0, statusError(resp, data)
-	}
 	sc := newLineScanner(resp.Body)
 	n := 0
 	for sc.Scan() {
@@ -332,10 +326,10 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte, fn func(i int, line
 		if len(line) == 0 {
 			continue
 		}
-		if err := fn(n, line); err != nil {
+		n++
+		if err := fn(n-1, line); err != nil {
 			return n, err
 		}
-		n++
 	}
 	if err := sc.Err(); err != nil {
 		return n, fmt.Errorf("client: sweep stream: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -255,6 +256,46 @@ func TestSweepRetriesBeforeFirstLine(t *testing.T) {
 	}
 	if got := fh.hits.Load(); got != 2 {
 		t.Fatalf("server saw %d attempts, want 2", got)
+	}
+}
+
+// TestSweepHonorsRetryAfter pins the header contract for sweeps: a
+// shed stream start waits the server's Retry-After, as Run does.
+func TestSweepHonorsRetryAfter(t *testing.T) {
+	fh := &flakyHandler{fail: 1, imposed: "7", next: serve.New(serve.Config{})}
+	ts := httptest.NewServer(fh)
+	defer ts.Close()
+
+	var waits []time.Duration
+	c := instantClient(ts.URL, &waits)
+	err := c.Sweep(context.Background(), []serve.RunRequest{{Machine: "sx4-32", Benchmarks: []string{"COPY"}}},
+		func(i int, line []byte) error { return nil })
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if len(waits) != 1 || waits[0] != 7*time.Second {
+		t.Fatalf("waits = %v, want exactly [7s] (server's Retry-After)", waits)
+	}
+}
+
+// TestSweepDoesNotRetryDeliveredLines pins the other half of the
+// streaming rule: once a line has reached fn, a failure — here fn's
+// own — ends the sweep without another attempt.
+func TestSweepDoesNotRetryDeliveredLines(t *testing.T) {
+	fh := &flakyHandler{fail: 0, next: serve.New(serve.Config{})}
+	ts := httptest.NewServer(fh)
+	defer ts.Close()
+
+	var waits []time.Duration
+	c := instantClient(ts.URL, &waits)
+	stop := errors.New("test: stop")
+	err := c.Sweep(context.Background(), []serve.RunRequest{{Machine: "sx4-32", Benchmarks: []string{"COPY"}}},
+		func(i int, line []byte) error { return stop })
+	if !errors.Is(err, stop) {
+		t.Fatalf("sweep error = %v, want fn's own error", err)
+	}
+	if got := fh.hits.Load(); got != 1 || len(waits) != 0 {
+		t.Fatalf("server saw %d attempts after %d waits, want 1 and none", got, len(waits))
 	}
 }
 

@@ -1,13 +1,11 @@
 // Package core is the NCAR benchmark-suite framework: the methodology
 // layer of the paper. It provides the measurement loop shared by
 // the SX-4 model and the comparison-machine models, the KTRIES
-// best-of-k repetition rule, the constant-data-volume parameter sweeps
-// used by the memory and FFT kernels, and result series/table types
-// that the reporting tools render.
+// best-of-k repetition rule, and result series/table types that the
+// reporting tools render.
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -178,47 +176,6 @@ type Table struct {
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// SweepPair is one (N, M) combination of a constant-volume sweep.
-type SweepPair struct{ N, M int }
-
-// ConstantVolumeSweep returns (N, M) pairs with N*M ~= volume, N
-// log-spaced from minN to maxN with the given number of points per
-// decade. This is the novel feature of the NCAR memory benchmarks: at
-// one extreme many small arrays are moved, at the other a few large
-// ones, holding total data volume roughly constant.
-func ConstantVolumeSweep(volume, minN, maxN, perDecade int) []SweepPair {
-	if volume <= 0 || minN <= 0 || maxN < minN || perDecade <= 0 {
-		panic(fmt.Sprintf("core: bad sweep parameters volume=%d N=[%d,%d] perDecade=%d",
-			volume, minN, maxN, perDecade))
-	}
-	var pairs []SweepPair
-	seen := make(map[int]bool)
-	decades := math.Log10(float64(maxN) / float64(minN))
-	steps := int(math.Ceil(decades * float64(perDecade)))
-	if steps < 1 {
-		steps = 1
-	}
-	for i := 0; i <= steps; i++ {
-		n := int(math.Round(float64(minN) * math.Pow(float64(maxN)/float64(minN), float64(i)/float64(steps))))
-		if n < minN {
-			n = minN
-		}
-		if n > maxN {
-			n = maxN
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		m := volume / n
-		if m < 1 {
-			m = 1
-		}
-		pairs = append(pairs, SweepPair{N: n, M: m})
-	}
-	return pairs
-}
 
 // Run measures one trace on a target with KTRIES repetitions under
 // jitter, returning the best time. payloadBytes may be zero for

@@ -72,36 +72,6 @@ func TestKTriesSmoothsNoise(t *testing.T) {
 	}
 }
 
-func TestConstantVolumeSweep(t *testing.T) {
-	pairs := ConstantVolumeSweep(1_000_000, 1, 1_000_000, 4)
-	if len(pairs) < 10 {
-		t.Fatalf("sweep too sparse: %d points", len(pairs))
-	}
-	if pairs[0].N != 1 || pairs[len(pairs)-1].N != 1_000_000 {
-		t.Errorf("sweep endpoints = %d..%d, want 1..1000000", pairs[0].N, pairs[len(pairs)-1].N)
-	}
-	prevN := 0
-	for _, p := range pairs {
-		if p.N <= prevN {
-			t.Errorf("sweep N not strictly increasing at %d", p.N)
-		}
-		prevN = p.N
-		vol := p.N * p.M
-		if vol < 500_000 || vol > 2_000_000 {
-			t.Errorf("pair (%d,%d): volume %d not roughly constant", p.N, p.M, vol)
-		}
-	}
-}
-
-func TestConstantVolumeSweepPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad sweep parameters did not panic")
-		}
-	}()
-	ConstantVolumeSweep(0, 1, 10, 4)
-}
-
 func TestMeasurementRates(t *testing.T) {
 	m := Measurement{Seconds: 2, Flops: 4e6, PayloadBytes: 8e6}
 	if m.MFLOPS() != 2 {
@@ -248,21 +218,6 @@ func TestWritePlotClampsDimensions(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Error("no output with clamped dimensions")
 	}
-}
-
-func TestSweepVolumeMath(t *testing.T) {
-	// Property: every pair's M is volume/N (floored, min 1).
-	pairs := ConstantVolumeSweep(250_000, 2, 1000, 6)
-	for _, p := range pairs {
-		want := 250_000 / p.N
-		if want < 1 {
-			want = 1
-		}
-		if p.M != want {
-			t.Errorf("pair N=%d has M=%d, want %d", p.N, p.M, want)
-		}
-	}
-	_ = math.Pi
 }
 
 // TestNoisePinned pins the exact jitter Noise draws: 50 draws from each

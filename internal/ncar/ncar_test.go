@@ -43,6 +43,24 @@ func TestSuiteComposition(t *testing.T) {
 	if _, err := ByName("NOPE"); err == nil {
 		t.Error("unknown benchmark found")
 	}
+	// Suite hands out copies: editing one leaves the suite intact.
+	s[0].Name = "EDITED"
+	if Suite()[0].Name != "PARANOIA" {
+		t.Error("editing Suite's result changed the suite")
+	}
+}
+
+// TestByNameAllocatesNothing pins that a lookup, which every run
+// request's validation and every measured member pays, copies no
+// suite.
+func TestByNameAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("POP"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
 }
 
 func parseCell(t *testing.T, s string) float64 {

@@ -40,21 +40,15 @@ func (c admitClass) String() string { return classNames[c] }
 // cache keeps absorbing traffic even when the execution engine is
 // saturated.
 type admitter struct {
-	mu       sync.Mutex
-	budget   [numClasses]int       // per-class concurrency budgets
-	queues   [numClasses][]*waiter // FIFO per class; grant order is class-major
+	mu     sync.Mutex
+	budget [numClasses]int // per-class concurrency budgets
+	// queues holds each waiting query's grant channel, FIFO per class;
+	// grants drain the classes in order.
+	queues   [numClasses][]chan struct{}
 	inflight [numClasses]int
 	total    int // executing now, all classes
 	totalCap int // global concurrent-execution cap
 	depth    int // per-class queue bound
-}
-
-// waiter is one queued admission request. granted is closed (with ok
-// set) by the releasing goroutine; abandoned marks a waiter whose
-// context died so a later grant pass skips it.
-type waiter struct {
-	granted   chan struct{}
-	abandoned bool
 }
 
 func newAdmitter(totalCap, depth int, budget [numClasses]int) *admitter {
@@ -92,28 +86,27 @@ func (a *admitter) acquire(ctx context.Context, c admitClass) (release func(), e
 		a.mu.Unlock()
 		return nil, shedError(c, retry)
 	}
-	w := &waiter{granted: make(chan struct{})}
-	a.queues[c] = append(a.queues[c], w)
+	granted := make(chan struct{})
+	a.queues[c] = append(a.queues[c], granted)
 	a.mu.Unlock()
 
 	select {
-	case <-w.granted:
+	case <-granted:
 		return func() { a.release(c) }, nil
 	case <-ctx.Done():
 	}
 	// The context died while queued — but a grant may have raced the
 	// cancellation. Under the lock there are exactly two cases: the
-	// waiter is still queued (mark it abandoned so grants skip it), or
-	// it was granted (give the slot straight back).
+	// waiter is still queued (unlink it, so no grant or gauge sees it
+	// again), or it was granted (give the slot straight back).
 	a.mu.Lock()
 	select {
-	case <-w.granted:
+	case <-granted:
 		a.mu.Unlock()
 		a.release(c)
 	default:
-		w.abandoned = true
-		for i, qw := range a.queues[c] {
-			if qw == w {
+		for i, q := range a.queues[c] {
+			if q == granted {
 				a.queues[c] = append(a.queues[c][:i], a.queues[c][i+1:]...)
 				break
 			}
@@ -131,16 +124,13 @@ func (a *admitter) release(c admitClass) {
 	a.total--
 	for cls := admitClass(0); cls < numClasses; cls++ {
 		for len(a.queues[cls]) > 0 && a.canAdmit(cls) {
-			w := a.queues[cls][0]
+			granted := a.queues[cls][0]
 			a.queues[cls] = a.queues[cls][1:]
-			if w.abandoned {
-				continue
-			}
 			a.admitLocked(cls)
 			// Closed under the lock deliberately: acquire's cancel path
 			// checks the channel while holding the same lock, so a grant
 			// and a cancellation can never both claim the waiter.
-			close(w.granted)
+			close(granted)
 		}
 	}
 	a.mu.Unlock()
@@ -152,12 +142,8 @@ func (a *admitter) queued() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
-	for c := admitClass(0); c < numClasses; c++ {
-		for _, w := range a.queues[c] {
-			if !w.abandoned {
-				n++
-			}
-		}
+	for _, q := range a.queues {
+		n += len(q)
 	}
 	return n
 }

@@ -231,6 +231,9 @@ func TestRestartRejectsCorruptSnapshots(t *testing.T) {
 		{"negative fault count", func(s *snapshot) { s.FaultsDelivered = -1 }, "fault count"},
 		{"unknown job state", func(s *snapshot) { s.Jobs[0].State = Failed + 3 }, "unknown state"},
 		{"undefined resource block", func(s *snapshot) { s.Jobs[0].Block = "ghost" }, "undefined resource block"},
+		{"job above the block's CPUs", func(s *snapshot) { s.Jobs[0].CPUs = 9 }, "allows up to 4"},
+		{"job with no CPUs", func(s *snapshot) { s.Jobs[0].CPUs = -2 }, "requests -2 CPUs"},
+		{"job above the block's memory", func(s *snapshot) { s.Jobs[0].MemGB = 99 }, "memory"},
 		{"queued ghost job", func(s *snapshot) { s.Queue = []int{99} }, "does not exist"},
 		{"active ghost job", func(s *snapshot) { s.Active = []int{42} }, "does not exist"},
 		{"log names ghost job", func(s *snapshot) {

@@ -244,19 +244,30 @@ func (s *System) addSlot() *jobSlot {
 	return s.slot(s.nextID)
 }
 
-// Submit enqueues a job and returns its ID.
-func (s *System) Submit(j Job) int {
-	bi := blockIndex(s.blocks, j.Block)
+// checkJob returns the index in blocks of j's resource block, or an
+// error when that block is undefined or its limits do not admit j: no
+// CPUs, more CPUs than the block allows, or more memory than it has.
+func checkJob(j Job, blocks []ResourceBlock) (int, error) {
+	bi := blockIndex(blocks, j.Block)
 	if bi < 0 {
-		panic(fmt.Sprintf("superux: unknown resource block %q", j.Block))
+		return -1, fmt.Errorf("job %q references undefined resource block %q", j.Name, j.Block)
 	}
-	blk := &s.blocks[bi]
+	blk := &blocks[bi]
 	if j.CPUs <= 0 || j.CPUs > blk.MaxCPUs {
-		panic(fmt.Sprintf("superux: job %q requests %d CPUs; block %q allows up to %d",
-			j.Name, j.CPUs, j.Block, blk.MaxCPUs))
+		return -1, fmt.Errorf("job %q requests %d CPUs; block %q allows up to %d",
+			j.Name, j.CPUs, j.Block, blk.MaxCPUs)
 	}
 	if j.MemGB > blk.MemGB {
-		panic(fmt.Sprintf("superux: job %q exceeds block memory", j.Name))
+		return -1, fmt.Errorf("job %q exceeds the memory of block %q", j.Name, j.Block)
+	}
+	return bi, nil
+}
+
+// Submit enqueues a job and returns its ID.
+func (s *System) Submit(j Job) int {
+	bi, err := checkJob(j, s.blocks)
+	if err != nil {
+		panic("superux: " + err.Error())
 	}
 	sl := s.addSlot()
 	j.ID = s.nextID
@@ -265,7 +276,7 @@ func (s *System) Submit(j Job) int {
 	sl.Job, sl.blk = j, bi
 	// A submission against a block a fault already took down is
 	// rebound to a surviving block, or reported failed — not dropped.
-	if blk.Failed {
+	if s.blocks[bi].Failed {
 		home := s.home(j.CPUs, j.MemGB)
 		if home < 0 {
 			s.failJob(j.ID)
@@ -589,12 +600,12 @@ func (s *System) Checkpoint() ([]byte, error) {
 // — negative or NaN clock, negative delivered-fault count, a block
 // with bad CPU limits or a name an earlier block took, a complex with
 // a run limit below one or naming an undefined block, a job out of id
-// order, of unknown state or bound to an undefined block, a
-// queue/active/log entry naming a missing job, a job queued or running
-// twice, or a log entry of unknown kind — is an error, never a panic
-// or a silent round trip. The queue is put in queue order. The fault
-// schedule is not part of the checkpoint; re-attach it with
-// SetInjector.
+// order, of unknown state, bound to an undefined block or to one whose
+// limits do not admit it, a queue/active/log entry naming a missing
+// job, a job queued or running twice, or a log entry of unknown kind —
+// is an error, never a panic or a silent round trip. The queue is put
+// in queue order. The fault schedule is not part of the checkpoint;
+// re-attach it with SetInjector.
 func Restart(data []byte) (*System, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -649,8 +660,8 @@ func (snap *snapshot) validate() error {
 		if j.State < Queued || j.State > Migrated {
 			return fmt.Errorf("job %d has unknown state %d", j.ID, int(j.State))
 		}
-		if blockIndex(snap.Blocks, j.Block) < 0 {
-			return fmt.Errorf("job %d references undefined resource block %q", j.ID, j.Block)
+		if _, err := checkJob(j, snap.Blocks); err != nil {
+			return fmt.Errorf("job %d: %w", j.ID, err)
 		}
 	}
 	exists := func(id int) bool { return id >= 1 && id <= len(snap.Jobs) }
