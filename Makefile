@@ -161,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzReportParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCacheSnapshotLoad$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzRunResponseRender$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/superux -run '^$$' -fuzz '^FuzzRestart$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/target -run '^$$' -fuzz '^FuzzFPCacheBudget$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x

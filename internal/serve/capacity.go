@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -47,14 +46,9 @@ const maxCapacityScenarios = 1 << 16
 // the same strictness as run requests: unknown fields, trailing
 // content and out-of-range numbers are errors, never silent defaults.
 func DecodeCapacityRequest(data []byte) (CapacityRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var r CapacityRequest
-	if err := dec.Decode(&r); err != nil {
+	if err := decodeStrict(data, &r); err != nil {
 		return CapacityRequest{}, fmt.Errorf("serve: decoding capacity request: %w", err)
-	}
-	if dec.More() {
-		return CapacityRequest{}, fmt.Errorf("serve: trailing content after capacity request object")
 	}
 	if err := r.Validate(); err != nil {
 		return CapacityRequest{}, err

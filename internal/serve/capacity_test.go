@@ -147,6 +147,8 @@ func TestCapacityRequestErrors(t *testing.T) {
 		{"malformed json", "{", http.StatusBadRequest},
 		{"unknown field", `{"fleet":"c90","bogus":1}`, http.StatusBadRequest},
 		{"trailing content", `{"fleet":"c90"} {}`, http.StatusBadRequest},
+		{"trailing brace", `{"fleet":"c90"}}`, http.StatusBadRequest},
+		{"trailing bracket", `{"fleet":"c90"} ]`, http.StatusBadRequest},
 		{"empty fleet", `{"fleet":"  "}`, http.StatusBadRequest},
 		{"negative scenarios", `{"fleet":"c90","scenarios":-1}`, http.StatusBadRequest},
 		{"huge scenarios", `{"fleet":"c90","scenarios":1000000}`, http.StatusBadRequest},

@@ -5,14 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"sx4bench/internal/benchjson"
 )
 
-// FuzzServeRequest fuzzes the request decoder — the daemon's only
-// parser of untrusted bytes. Properties pinned for every input: the
-// decoder never panics, decoding is deterministic, accepted requests
-// canonicalize idempotently to an explicit benchmark list with the
-// workers knob erased, the canonical fingerprint ignores the worker
-// count, and a canonical request survives a JSON re-encode round trip.
 // FuzzCacheSnapshotLoad fuzzes the warm-start snapshot parser — the
 // second parser of untrusted bytes the daemon trusts its cache to
 // (disks corrupt, crashes truncate). Properties pinned for every
@@ -58,6 +54,13 @@ func FuzzCacheSnapshotLoad(f *testing.F) {
 	})
 }
 
+// FuzzServeRequest fuzzes the request decoder — the daemon's only
+// parser of untrusted bytes. Properties pinned for every input: the
+// decoder never panics, decoding is deterministic, an accepted input is
+// one valid JSON value with nothing after it, accepted requests
+// canonicalize idempotently to an explicit benchmark list with the
+// workers knob erased, the canonical fingerprint ignores the worker
+// count, and a canonical request survives a JSON re-encode round trip.
 func FuzzServeRequest(f *testing.F) {
 	seeds := []string{
 		`{"machine":"sx4-32"}`,
@@ -66,6 +69,7 @@ func FuzzServeRequest(f *testing.F) {
 		`{"machine":"c90","benchmarks":[]}`,
 		`{"machine":"ymp","bogus":1}`,
 		`{"machine":"ymp"} {"machine":"c90"}`,
+		`{"machine":"sx4-32"}]`,
 		`{"machine":"ymp","deadline_seconds":-1}`,
 		`{"machine":"ymp","benchmarks":["FROBNICATE"]}`,
 		`{"machine":"éK"}`,
@@ -88,6 +92,9 @@ func FuzzServeRequest(f *testing.F) {
 				t.Fatalf("rejected input returned a partial request %+v", r1)
 			}
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted input is not one valid JSON value: %q", data)
 		}
 		c := r1.Canonical()
 		if c.Workers != 0 {
@@ -127,5 +134,43 @@ func FuzzServeRequest(f *testing.F) {
 		if !reflect.DeepEqual(back.Canonical(), c) {
 			t.Fatalf("re-decoded canonical diverged:\n%+v\n%+v", back.Canonical(), c)
 		}
+	})
+}
+
+// FuzzRunResponseRender fuzzes the append encoder against json.Marshal:
+// for every response the inputs build (arbitrary strings and float
+// bits, nil or empty results and metrics, the per-op counters set or
+// not), the encoder writes json.Marshal's bytes and a newline, or both
+// fail. Its seeds are the committed corpus.
+func FuzzRunResponseRender(f *testing.F) {
+	f.Fuzz(func(t *testing.T, machine string, cpus int, seed int64, name string, iters int64, ns float64, key string, v float64, perOp int64, shape uint8) {
+		// shape bit 0: nil results, or empty ones with bit 1; else bit 1
+		// sets BytesPerOp, bit 2 AllocsPerOp, bits 3–4 pick nil, empty,
+		// one-key or three-key metrics, and bit 5 repeats the result.
+		resp := RunResponse{Machine: machine, CPUs: cpus, FaultSeed: seed}
+		if shape&1 != 0 {
+			if shape&2 != 0 {
+				resp.Results = []benchjson.Result{}
+			}
+			checkRender(t, resp)
+			return
+		}
+		r := benchjson.Result{Name: name, Iterations: iters, NsPerOp: ns}
+		if shape&2 != 0 {
+			r.BytesPerOp = &perOp
+		}
+		if shape&4 != 0 {
+			r.AllocsPerOp = &iters
+		}
+		switch shape >> 3 & 3 {
+		case 1:
+			r.Metrics = map[string]float64{}
+		case 2:
+			r.Metrics = map[string]float64{key: v}
+		case 3:
+			r.Metrics = map[string]float64{key: v, name: ns, "attempts": float64(iters)}
+		}
+		resp.Results = []benchjson.Result{r, r}[:1+shape>>5&1]
+		checkRender(t, resp)
 	})
 }

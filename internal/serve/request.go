@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"strings"
 
@@ -59,19 +61,30 @@ const (
 // suite. The decoder never panics on arbitrary input (FuzzServeRequest
 // pins this).
 func DecodeRunRequest(data []byte) (RunRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var r RunRequest
-	if err := dec.Decode(&r); err != nil {
+	if err := decodeStrict(data, &r); err != nil {
 		return RunRequest{}, fmt.Errorf("serve: decoding run request: %w", err)
-	}
-	if dec.More() {
-		return RunRequest{}, fmt.Errorf("serve: trailing content after run request object")
 	}
 	if err := r.Validate(); err != nil {
 		return RunRequest{}, err
 	}
 	return r, nil
+}
+
+// decodeStrict decodes data, which must hold one JSON value and
+// nothing after it but white space, into v; an object field v does not
+// have is an error. Decoder.More alone cannot see trailing content: it
+// reports false before a stray ']' or '}'.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing content after the request")
+	}
+	return nil
 }
 
 // Validate checks the request's shape without touching the machine

@@ -340,10 +340,11 @@ func (s *Server) handleQuery(resolve func([]byte) (query, error)) http.HandlerFu
 }
 
 // handleSweep consumes NDJSON run requests and streams one NDJSON
-// answer line per input line, flushing as it goes: a response body
-// line is either a run response or an {"error": ...} object, in input
-// order. A malformed line fails that line only — bulk submission is
-// the point, and one typo must not void a thousand-query sweep.
+// answer line per input line, flushing what it has answered before it
+// reads more input: a response body line is either a run response or
+// an {"error": ...} object, in input order. A malformed line fails
+// that line only — bulk submission is the point, and one typo must not
+// void a thousand-query sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r.Context())
 	defer cancel()
@@ -353,7 +354,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// off every line the connection had not yet buffered.
 	http.NewResponseController(w).EnableFullDuplex()
 	flusher, _ := w.(http.Flusher)
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	in := &flushBeforeRead{body: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), flusher: flusher}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), int(s.cfg.MaxBodyBytes))
 	for sc.Scan() {
 		// A sweep whose client disconnected mid-stream must stop
@@ -378,9 +380,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			out = errorLine(err)
 		}
 		w.Write(out)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		in.pending = true
 	}
 	if err := sc.Err(); err != nil {
 		// Too late for a status change if lines already streamed; emit
@@ -388,6 +388,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.stats.inc(nErrors)
 		w.Write(errorLine(err))
 	}
+}
+
+// flushBeforeRead is a sweep's request body: it flushes the answers
+// written since its last read before reading more input. So an answer
+// is on the wire before the daemon waits for the client's next line,
+// and a client that sends line k+1 only after reading answer k is
+// served, while a body that arrived whole is answered by net/http's
+// buffer-full writes and its final flush: a few writes for a 25-line
+// sweep rather than one per line.
+type flushBeforeRead struct {
+	body    io.Reader
+	flusher http.Flusher // nil when the writer cannot flush
+	pending bool         // answers written since the last flush
+}
+
+func (f *flushBeforeRead) Read(p []byte) (int, error) {
+	if f.pending && f.flusher != nil {
+		f.flusher.Flush()
+	}
+	f.pending = false
+	return f.body.Read(p)
 }
 
 // queryContext applies the configured per-request deadline.
@@ -523,17 +544,21 @@ func (s *Server) resolveRun(req RunRequest, class admitClass) (query, error) {
 		return query{}, err
 	}
 	return query{class, canon.Fingerprint(tgt.Fingerprint()), func(ctx context.Context) ([]byte, error) {
-		return s.execute(ctx, tgt, canon, req.Workers)
+		resp, err := s.execute(ctx, tgt, canon, req.Workers)
+		if err != nil {
+			return nil, err
+		}
+		return renderRunResponse(&resp)
 	}}, nil
 }
 
-// execute runs the canonical query's simulation and renders the
-// response bytes. workers rides alongside the canonical request (it
+// execute runs the canonical query's simulation into the response the
+// query renders. workers rides alongside the canonical request (it
 // shapes the evaluation schedule, never the bytes). ctx is the
 // request's deadline, propagated into the measurement layer so a
 // client that hangs up stops paying for simulation at the next member
 // boundary; abandoned work is a 503, never a half-rendered body.
-func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunRequest, workers int) ([]byte, error) {
+func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunRequest, workers int) (RunResponse, error) {
 	cpus := canon.CPUs
 	if cpus <= 0 {
 		cpus = tgt.Spec().CPUs
@@ -546,8 +571,9 @@ func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunReques
 	if canon.FaultSeed == 0 {
 		ms, err := ncar.MeasureSuite(ctx, tgt, canon.Benchmarks, canon.CPUs, workers)
 		if err != nil {
-			return nil, s.executeError(err)
+			return RunResponse{}, s.executeError(err)
 		}
+		resp.Results = make([]benchjson.Result, 0, len(ms))
 		for _, m := range ms {
 			resp.Results = append(resp.Results, measurementResult(m))
 		}
@@ -559,8 +585,9 @@ func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunReques
 		}
 		rms, err := ncar.MeasureSuiteResilient(ctx, tgt, canon.Benchmarks, canon.CPUs, workers, opts)
 		if err != nil {
-			return nil, s.executeError(err)
+			return RunResponse{}, s.executeError(err)
 		}
+		resp.Results = make([]benchjson.Result, 0, len(rms))
 		for _, rm := range rms {
 			r := measurementResult(rm.Measurement)
 			if r.Metrics == nil {
@@ -571,11 +598,7 @@ func (s *Server) execute(ctx context.Context, tgt target.Target, canon RunReques
 			resp.Results = append(resp.Results, r)
 		}
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
+	return resp, nil
 }
 
 // executeError classifies a measurement failure: a context death that

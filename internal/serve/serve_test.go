@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -53,6 +54,11 @@ func TestHandlerErrors(t *testing.T) {
 		{"not an object", "POST", "/v1/run", "[1,2]", http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/run", `{"machine":"ymp","bogus":1}`, http.StatusBadRequest},
 		{"trailing content", "POST", "/v1/run", `{"machine":"ymp"} {}`, http.StatusBadRequest},
+		{"trailing bracket", "POST", "/v1/run", `{"machine":"sx4-32"}]`, http.StatusBadRequest},
+		{"trailing brackets", "POST", "/v1/run", `{"machine":"sx4-32"} ]]]`, http.StatusBadRequest},
+		{"trailing brace", "POST", "/v1/run", `{"machine":"sx4-32"}}`, http.StatusBadRequest},
+		// A sweep answers 200 and fails the bad line alone, as an error line.
+		{"trailing bracket in a sweep line", "POST", "/v1/sweep", `{"machine":"sx4-32"}]`, http.StatusOK},
 		{"empty machine", "POST", "/v1/run", `{"machine":"  "}`, http.StatusBadRequest},
 		{"overflowing deadline", "POST", "/v1/run", `{"machine":"ymp","deadline_seconds":1e999}`, http.StatusBadRequest},
 		{"negative deadline", "POST", "/v1/run", `{"machine":"ymp","deadline_seconds":-1}`, http.StatusBadRequest},
@@ -273,6 +279,78 @@ func TestSweepLargeBodyOverHTTP(t *testing.T) {
 		if strings.Contains(a, `"error"`) {
 			t.Fatalf("line %d: %s", i, a)
 		}
+	}
+}
+
+// TestSweepAnswersBeforeNextLine pins the interactive sweep over real
+// HTTP: a client that sends line k+1 only after reading answer k must
+// get answer k while the daemon waits for the next line, so answers
+// are flushed before the daemon reads more of the body, not only when
+// the body ends.
+func TestSweepAnswersBeforeNextLine(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Now: fakeClock()}))
+	defer ts.Close()
+	pr, pw := io.Pipe()
+	// Closing the body first lets the handler, and so ts.Close, finish
+	// when the test fails midway.
+	defer pw.Close()
+	req, err := http.NewRequest("POST", ts.URL+"/v1/sweep", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		replies <- reply{resp, err}
+	}()
+	// await runs step on its own goroutine and fails the test unless it
+	// returns within the timeout.
+	await := func(what string, step func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- step() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no progress in 10 s", what)
+		}
+	}
+	var answers *bufio.Reader
+	for k, member := range []string{"COPY", "RFFT", "FROBNICATE", "COPY"} {
+		line := fmt.Sprintf("{\"machine\":\"sparc20\",\"benchmarks\":[%q]}\n", member)
+		await(fmt.Sprintf("writing line %d", k), func() error {
+			_, err := io.WriteString(pw, line)
+			return err
+		})
+		if k == 0 {
+			var r reply
+			await("response headers after line 0", func() error {
+				r = <-replies
+				return r.err
+			})
+			defer r.resp.Body.Close()
+			answers = bufio.NewReader(r.resp.Body)
+		}
+		var answer string
+		await(fmt.Sprintf("answer %d before line %d is sent", k, k+1), func() error {
+			var err error
+			answer, err = answers.ReadString('\n')
+			return err
+		})
+		if isError := strings.Contains(answer, `"error"`); isError != (member == "FROBNICATE") {
+			t.Fatalf("answer %d for %s: %s", k, member, answer)
+		}
+	}
+	pw.Close()
+	if rest, err := io.ReadAll(answers); err != nil || len(rest) != 0 {
+		t.Fatalf("after the last answer: %q, %v", rest, err)
 	}
 }
 
