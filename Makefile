@@ -162,6 +162,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzCacheSnapshotLoad$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzRunResponseRender$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzRunRequestFastPath$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/superux -run '^$$' -fuzz '^FuzzRestart$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/target -run '^$$' -fuzz '^FuzzFPCacheBudget$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x

@@ -54,32 +54,42 @@ func FuzzCacheSnapshotLoad(f *testing.F) {
 	})
 }
 
+// serveRequestSeeds are FuzzServeRequest's seeds, each marked with
+// whether it has the plain shape decodePlainRun reads (the rest fall
+// back to encoding/json); TestRunRequestFastPathMatchesStrict runs them
+// all as rows.
+var serveRequestSeeds = []struct {
+	body  string
+	plain bool
+}{
+	{`{"machine":"sx4-32"}`, true},
+	{`{"machine":" SX4-1 ","benchmarks":["COPY","CCM2"],"cpus":4,"workers":2}`, true},
+	{`{"machine":"ymp","benchmarks":["all"],"fault_seed":7,"deadline_seconds":900.5,"max_attempts":6}`, false},
+	{`{"machine":"ymp","benchmarks":["COPY"],"fault_seed":1,"deadline_seconds":-0}`, true},
+	{`{"machine":"c90","benchmarks":[]}`, true},
+	{`{"machine":"ymp","bogus":1}`, false},
+	{`{"machine":"ymp"} {"machine":"c90"}`, false},
+	{`{"machine":"sx4-32"}]`, false},
+	{`{"machine":"ymp","deadline_seconds":-1}`, true},
+	{`{"machine":"ymp","benchmarks":["FROBNICATE"]}`, true},
+	{`{"machine":"éK"}`, false},
+	{`[{"machine":"ymp"}]`, false},
+	{`nullnull`, false},
+	{`{`, false},
+	{``, false},
+}
+
 // FuzzServeRequest fuzzes the request decoder — the daemon's only
 // parser of untrusted bytes. Properties pinned for every input: the
 // decoder never panics, decoding is deterministic, an accepted input is
 // one valid JSON value with nothing after it, accepted requests
 // canonicalize idempotently to an explicit benchmark list with the
 // workers knob erased, the canonical fingerprint ignores the worker
-// count, and a canonical request survives a JSON re-encode round trip.
+// count and the sign of a zero deadline, and a canonical request
+// survives a JSON re-encode round trip.
 func FuzzServeRequest(f *testing.F) {
-	seeds := []string{
-		`{"machine":"sx4-32"}`,
-		`{"machine":" SX4-1 ","benchmarks":["COPY","CCM2"],"cpus":4,"workers":2}`,
-		`{"machine":"ymp","benchmarks":["all"],"fault_seed":7,"deadline_seconds":900.5,"max_attempts":6}`,
-		`{"machine":"c90","benchmarks":[]}`,
-		`{"machine":"ymp","bogus":1}`,
-		`{"machine":"ymp"} {"machine":"c90"}`,
-		`{"machine":"sx4-32"}]`,
-		`{"machine":"ymp","deadline_seconds":-1}`,
-		`{"machine":"ymp","benchmarks":["FROBNICATE"]}`,
-		`{"machine":"éK"}`,
-		`[{"machine":"ymp"}]`,
-		`nullnull`,
-		`{`,
-		``,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
+	for _, s := range serveRequestSeeds {
+		f.Add([]byte(s.body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r1, err1 := DecodeRunRequest(data)
@@ -112,6 +122,14 @@ func FuzzServeRequest(f *testing.F) {
 		reworked.Workers = (r1.Workers + 1) % maxWorkers
 		if got := reworked.Canonical().Fingerprint(probeFP); got != fp {
 			t.Fatalf("fingerprint depends on workers: %x vs %x", got, fp)
+		}
+		if r1.DeadlineSeconds == 0 {
+			// ncar reads a −0 deadline as it reads 0: no deadline.
+			negated := r1
+			negated.DeadlineSeconds = -r1.DeadlineSeconds
+			if got := negated.Canonical().Fingerprint(probeFP); got != fp {
+				t.Fatalf("fingerprint depends on the sign of a zero deadline: %x vs %x", got, fp)
+			}
 		}
 		if r1.FaultSeed == 0 {
 			// A fault-free run never reads its deadline or attempt cap.

@@ -58,12 +58,21 @@ const (
 // unknown fields, trailing content, out-of-range numbers and unknown
 // benchmark names are all errors, never silent defaults — a mistyped
 // field in a sweep line must fail that line, not quietly run the whole
-// suite. The decoder never panics on arbitrary input (FuzzServeRequest
-// pins this).
+// suite. The plain shape clients send is read by decodePlainRun;
+// everything else goes to encoding/json, whose rules and error texts
+// are the contract. The decoder never panics on arbitrary input
+// (FuzzServeRequest pins this).
 func DecodeRunRequest(data []byte) (RunRequest, error) {
-	var r RunRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return RunRequest{}, fmt.Errorf("serve: decoding run request: %w", err)
+	r, ok := decodePlainRun(data)
+	if !ok {
+		// A variable of its own: the pointer decodeStrict takes escapes,
+		// and sharing r with it would move r to the heap on the plain
+		// path too.
+		var slow RunRequest
+		if err := decodeStrict(data, &slow); err != nil {
+			return RunRequest{}, fmt.Errorf("serve: decoding run request: %w", err)
+		}
+		r = slow
 	}
 	if err := r.Validate(); err != nil {
 		return RunRequest{}, err
@@ -128,15 +137,20 @@ func (r RunRequest) Validate() error {
 // Canonical returns the request in cache-key form: machine name
 // normalized the way the registry matches it, "all" and the empty list
 // folded to the explicit full suite, and the knobs that cannot change
-// a result byte zeroed — workers always, and the deadline and attempt
-// cap of a fault-free run. Two requests with equal canonical forms are
-// the same query.
+// a result byte zeroed — workers always, the deadline and attempt cap
+// of a fault-free run, and the sign of a zero deadline. Two requests
+// with equal canonical forms are the same query.
 func (r RunRequest) Canonical() RunRequest {
 	out := r
 	out.Machine = strings.ToLower(strings.TrimSpace(r.Machine))
 	out.Workers = 0
 	if r.FaultSeed == 0 {
 		out.DeadlineSeconds, out.MaxAttempts = 0, 0
+	}
+	if out.DeadlineSeconds == 0 {
+		// Folds −0 into +0: ncar reads either as no deadline, but
+		// Fingerprint hashes the float's bits.
+		out.DeadlineSeconds = 0
 	}
 	if len(r.Benchmarks) == 0 || (len(r.Benchmarks) == 1 && r.Benchmarks[0] == "all") {
 		out.Benchmarks = nil

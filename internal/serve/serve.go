@@ -356,7 +356,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	in := &flushBeforeRead{body: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), flusher: flusher}
 	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 64*1024), int(s.cfg.MaxBodyBytes))
+	// The scanner starts at its own 4 KiB, which reads a typical sweep
+	// body whole, and grows for a longer line up to the body limit.
+	sc.Buffer(nil, int(s.cfg.MaxBodyBytes))
 	for sc.Scan() {
 		// A sweep whose client disconnected mid-stream must stop
 		// producing: the request context dies with the connection, and

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,30 @@ func TestFaultFreeRunIgnoresResilienceKnobs(t *testing.T) {
 	}
 }
 
+// TestZeroDeadlineSignSharesEntry pins that a −0 deadline, which ncar
+// reads as no deadline just as it reads 0, is the same query as the
+// omitted and the +0 deadline: one key and one cache entry.
+func TestZeroDeadlineSignSharesEntry(t *testing.T) {
+	s := New(Config{Now: fakeClock()})
+	const q = `{"machine":"ymp","benchmarks":["COPY"],"fault_seed":1`
+	first := post(t, s, "/v1/run", q+"}")
+	if first.Code != http.StatusOK {
+		t.Fatalf("status %d, body %q", first.Code, first.Body.String())
+	}
+	for _, deadline := range []string{"0", "-0"} {
+		rr := post(t, s, "/v1/run", q+`,"deadline_seconds":`+deadline+"}")
+		if state := rr.Header().Get("X-Sx4d-Cache"); state != "hit" {
+			t.Errorf("deadline %s: cache state = %q, want hit", deadline, state)
+		}
+		if !bytes.Equal(rr.Body.Bytes(), first.Body.Bytes()) {
+			t.Errorf("deadline %s: body differs from the query without one", deadline)
+		}
+	}
+	if n := s.cache.Stats().Entries; n != 1 {
+		t.Errorf("%d cache entries, want 1", n)
+	}
+}
+
 // TestFaultedRun pins the resilient path: a seeded query reports
 // attempt accounting in its metrics and is just as cacheable.
 func TestFaultedRun(t *testing.T) {
@@ -351,6 +376,40 @@ func TestSweepAnswersBeforeNextLine(t *testing.T) {
 	pw.Close()
 	if rest, err := io.ReadAll(answers); err != nil || len(rest) != 0 {
 		t.Fatalf("after the last answer: %q, %v", rest, err)
+	}
+}
+
+// TestSweepLineLongerThanStartBuffer pins the sweep scanner's growth
+// path: a line far longer than the scanner's 4 KiB start buffer is read
+// whole and answered in its place. A line past MaxBodyBytes is
+// answered, as far as it was read, with its decode error, and the sweep
+// ends in the body limit's error line.
+func TestSweepLineLongerThanStartBuffer(t *testing.T) {
+	s := New(Config{Now: fakeClock(), MaxBodyBytes: 256 << 10})
+	queries := []string{
+		`{"machine":"sparc20","benchmarks":["COPY"]}`,
+		`{"machine":"sparc20",` + strings.Repeat(" \t", 50<<10) + `"benchmarks":["RFFT"]}`,
+		`{"machine":"sparc20","benchmarks":["IA"]}`,
+	}
+	var want []string
+	for _, q := range queries {
+		rr := post(t, s, "/v1/run", q)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d, body %q", rr.Code, rr.Body.String())
+		}
+		want = append(want, rr.Body.String())
+	}
+	rr := post(t, s, "/v1/sweep", strings.Join(queries, "\n")+"\n")
+	if got := strings.SplitAfter(rr.Body.String(), "\n"); len(got) != 4 || got[3] != "" || !slices.Equal(got[:3], want) {
+		t.Fatalf("sweep with a %d-byte line answered\n%s", len(queries[1]), rr.Body.String())
+	}
+
+	tooLong := `{"machine":"sparc20",` + strings.Repeat(" ", 256<<10) + `"benchmarks":["RFFT"]}`
+	rr = post(t, s, "/v1/sweep", queries[0]+"\n"+tooLong+"\n"+queries[2]+"\n")
+	got := strings.SplitAfter(rr.Body.String(), "\n")
+	limit := string(errorLine(&http.MaxBytesError{Limit: 256 << 10}))
+	if len(got) != 4 || got[0] != want[0] || !strings.HasPrefix(got[1], `{"error":`) || got[2] != limit || got[3] != "" {
+		t.Fatalf("sweep with a line past MaxBodyBytes answered\n%s", rr.Body.String())
 	}
 }
 
