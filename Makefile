@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test test-short race race-full perfbench-check bench bench-baseline bench-sweep bench-sweep-short bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
+.PHONY: all build vet fmt-check lint test test-short race race-full perfbench-check bench bench-baseline bench-capacity bench-capacity-short ci smoke serve-smoke warm-restart-smoke chaos faults capacity examples figures report clean goldens goldens-check fuzz-smoke cover
 
 all: build vet lint test
 
@@ -57,12 +57,12 @@ bench:
 # -count run), the benchmark module's vet and tests, the golden-artifact
 # check, the cross-machine smoke sweep, the resilience smoke, the fleet
 # capacity smoke (golden-pinned capacity artifact plus a live -fleet
-# run), the cold-sweep and capacity scaling smokes (1k cold scenarios
-# each, worker-count checksums cross-checked), the sx4d daemon smoke
-# (live /healthz and golden-pinned /v1/run over real HTTP), the seeded
-# chaos soak, the cache warm-restart smoke (SIGTERM → snapshot →
-# reboot → hit), and every example program (examples/operations is
-# the only caller of qcat, checkpoint and restart outside tests).
+# run), the capacity scaling smoke (1k cold scenarios, worker-count
+# checksums cross-checked), the sx4d daemon smoke (live /healthz and
+# golden-pinned /v1/run over real HTTP), the seeded chaos soak, the
+# cache warm-restart smoke (SIGTERM → snapshot → reboot → hit), and
+# every example program (examples/operations is the only caller of
+# qcat, checkpoint and restart outside tests).
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -79,7 +79,6 @@ ci:
 	$(GO) run ./cmd/ncarbench -machine all -short
 	$(MAKE) faults
 	$(MAKE) capacity
-	$(MAKE) bench-sweep-short
 	$(MAKE) bench-capacity-short
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
@@ -176,18 +175,6 @@ cover:
 # RunAll wall-clock pair) as BENCH_BASELINE.json.
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_BASELINE.json
-
-# Record the cold-sweep scaling baseline — the 10k-scenario sweep of
-# distinct (machine, trace, allocation) triples across the machine
-# registry at 1 and GOMAXPROCS workers, on fresh machines, every
-# scenario through the one compiled route — as BENCH_SWEEP.json.
-# bench-sweep-short is the CI smoke: 1k scenarios, one iteration,
-# checksum cross-checked between every worker count.
-bench-sweep:
-	$(GO) test -run '^$$' -bench '^BenchmarkColdSweep10k$$' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_SWEEP.json
-
-bench-sweep-short:
-	$(GO) test -run '^$$' -bench '^BenchmarkColdSweep10k$$' -short -benchtime 1x .
 
 # Record the fleet capacity scaling baseline — the scenario-memo-cold
 # 10k-scenario Monte Carlo over the canonical fleet at 1 and GOMAXPROCS

@@ -1,15 +1,15 @@
 // Package floatorder flags order-dependent float reductions inside
 // parallel callbacks. Float addition and multiplication are not
-// associative, so a shared accumulator mutated from a sched.ForEach /
-// ForEachGrain / Map callback (or a sched.Task Run function) folds in
-// completion order and produces a different low-order result every
-// run — precisely the kind of wobble the 21 byte-identical goldens
-// exist to catch, except it only surfaces under multi-worker timing.
-// The sanctioned idiom is per-index computation with a serial
-// index-order fold: sched.SumOrdered, or sched.Map followed by a
-// plain loop. Per-index writes (out[i] = v) are fine and are not
-// flagged; integer accumulators are a lockshare concern, not a
-// reproducibility-of-rounding one, and are ignored here.
+// associative, so a shared accumulator mutated from a sched.ForEach or
+// Map callback (or a sched.Task Run function) folds in completion
+// order and produces a different low-order result every run —
+// precisely the kind of wobble the 21 byte-identical goldens exist to
+// catch, except it only surfaces under multi-worker timing. The
+// sanctioned idiom is per-index computation with a serial index-order
+// fold: sched.Map followed by a plain loop. Per-index writes
+// (out[i] = v) are fine and are not flagged; integer accumulators are
+// a lockshare concern, not a reproducibility-of-rounding one, and are
+// ignored here.
 package floatorder
 
 import (
@@ -23,7 +23,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "floatorder",
 	Doc: "flag shared float accumulators (+=, *=, x = x + ...) mutated inside sched parallel callbacks; " +
-		"reductions must use fixed-order folds (sched.SumOrdered or Map + serial loop) to keep goldens bit-identical",
+		"reductions must use fixed-order folds (sched.Map plus a serial loop) to keep goldens bit-identical",
 	Run: run,
 }
 
@@ -32,7 +32,7 @@ const schedPath = "sx4bench/internal/core/sched"
 // parallelEntry names the sched functions whose callback arguments run
 // concurrently.
 var parallelEntry = map[string]bool{
-	"ForEach": true, "ForEachGrain": true, "Map": true,
+	"ForEach": true, "Map": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -134,7 +134,7 @@ func flagSharedFloat(pass *analysis.Pass, lit *ast.FuncLit, lhs ast.Expr, pos to
 		return
 	}
 	pass.Reportf(pos,
-		"order-dependent float reduction: %q on %s inside a %s accumulates in goroutine completion order, and float ops are not associative; compute per-index values and fold serially (sched.SumOrdered or sched.Map + loop)",
+		"order-dependent float reduction: %q on %s inside a %s accumulates in goroutine completion order, and float ops are not associative; compute per-index values and fold serially (sched.Map plus a serial loop)",
 		op, root.Name(), where)
 }
 

@@ -22,7 +22,7 @@ func BadSum(n int) float64 {
 // BadProduct multiplies in completion order.
 func BadProduct(n int) float64 {
 	p := 1.0
-	sched.ForEachGrain(0, n, 8, func(i int) error {
+	sched.ForEach(0, n, func(i int) error {
 		p *= 1.0001 // want `order-dependent float reduction: "\*=" on p`
 		return nil
 	})
@@ -48,13 +48,6 @@ func BadTask(total *float64) sched.Task {
 			return nil
 		},
 	}
-}
-
-// GoodSum uses the fixed-order helper.
-func GoodSum(n int) float64 {
-	return sched.SumOrdered(0, n, func(i int) float64 {
-		return float64(i)
-	})
 }
 
 // GoodMap collects per-index values and folds them serially.

@@ -1,5 +1,5 @@
 // Package fakesweep is a layering fixture for the compiled-trace path:
-// a cold-sweep driver above the model layer pre-flattens traces with
+// a driver above the model layer pre-flattens traces with
 // internal/sx4/prog and executes them through Target.RunCompiled —
 // both sanctioned — but must not reach for the concrete engines to get
 // at their compiled internals.

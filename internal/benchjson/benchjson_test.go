@@ -222,8 +222,8 @@ func TestGOMAXPROCS(t *testing.T) {
 		records []Result
 		want    int
 	}{
-		{rec("BenchmarkColdSweep10k/workers=1-2", "BenchmarkColdSweep10k/workers=2-2"), 2},
-		{rec("BenchmarkColdSweep10k/workers=1", "BenchmarkColdSweep10k/workers=2"), 1},
+		{rec("BenchmarkCapacityMonteCarlo/workers=1-2", "BenchmarkCapacityMonteCarlo/workers=2-2"), 2},
+		{rec("BenchmarkCapacityMonteCarlo/workers=1", "BenchmarkCapacityMonteCarlo/workers=2"), 1},
 		{rec("BenchmarkMachine/sx4-32-8"), 8},
 		{rec("BenchmarkMachine/sx4-32-8", "BenchmarkRunAllSerial"), 1},
 		{rec("BenchmarkX-"), 1},

@@ -2,7 +2,6 @@ package check
 
 import (
 	"encoding/json"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -13,7 +12,7 @@ import (
 )
 
 // FuzzProgramFingerprint drives the trace IR with arbitrary structured
-// inputs: every decoded program must validate, dump, and fingerprint
+// inputs: every decoded program must validate and fingerprint
 // deterministically, clones must collide, and a structural mutation
 // must not.
 func FuzzProgramFingerprint(f *testing.F) {
@@ -25,9 +24,6 @@ func FuzzProgramFingerprint(f *testing.F) {
 		p := DecodeProgram(data)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("DecodeProgram produced an invalid program: %v", err)
-		}
-		if err := p.Dump(io.Discard); err != nil {
-			t.Fatalf("Dump: %v", err)
 		}
 		if p.Flops() < 0 || p.Words() < 0 {
 			t.Fatalf("negative totals: flops=%d words=%d", p.Flops(), p.Words())

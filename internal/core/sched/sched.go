@@ -127,32 +127,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEachGrain is ForEach with the index space batched into contiguous
-// spans of up to grain indexes, so a sweep of many very small tasks
-// (the 10k-scenario cold sweep) pays one scheduling handoff per span
-// instead of per index. Semantics match ForEach exactly: every span
-// runs, a span stops at its first error (the serial early return
-// within the span), and the error returned is the first in index
-// order. grain <= 1 degenerates to plain ForEach.
-func ForEachGrain(workers, n, grain int, fn func(i int) error) error {
-	if grain <= 1 {
-		return ForEach(workers, n, fn)
-	}
-	spans := (n + grain - 1) / grain
-	return ForEach(workers, spans, func(s int) error {
-		hi := (s + 1) * grain
-		if hi > n {
-			hi = n
-		}
-		for i := s * grain; i < hi; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // Map runs fn over [0, n) on a bounded pool and collects the values in
 // index order. Like ForEach, every index runs and the first error in
 // index order is returned alongside the (complete) slice.
@@ -164,23 +138,4 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return err
 	})
 	return out, err
-}
-
-// SumOrdered computes fn(0)+fn(1)+...+fn(n-1) on a bounded pool with a
-// fixed-order reduction: the values are computed in parallel, then
-// folded serially in index order, so the sum is bit-identical for any
-// worker count. This is the sanctioned way to reduce floats from a
-// parallel sweep — a shared `sum += ...` accumulator inside the
-// callback would add in completion order, and float addition is not
-// associative, so the total would wobble between runs and un-pin
-// goldens (the floatorder analyzer flags exactly that pattern).
-func SumOrdered(workers, n int, fn func(i int) float64) float64 {
-	vals, _ := Map(workers, n, func(i int) (float64, error) {
-		return fn(i), nil
-	})
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
 }

@@ -157,22 +157,3 @@ func TestForEachZeroAndTiny(t *testing.T) {
 		t.Error("n=1 should run once serially")
 	}
 }
-
-func TestSumOrderedDeterministic(t *testing.T) {
-	// The terms are chosen so that float addition order matters: mixing
-	// large and tiny magnitudes loses different low bits depending on
-	// the fold order. A fixed-order reduction must be bit-identical for
-	// every worker count.
-	term := func(i int) float64 {
-		if i%3 == 0 {
-			return 1e16
-		}
-		return 1.0 / float64(i+1)
-	}
-	serial := SumOrdered(1, 1000, term)
-	for _, workers := range []int{2, 4, 8} {
-		if got := SumOrdered(workers, 1000, term); got != serial {
-			t.Fatalf("SumOrdered(%d workers) = %v, want bit-identical %v", workers, got, serial)
-		}
-	}
-}

@@ -158,6 +158,29 @@ func TestMeasureResilientMatchesMeasure(t *testing.T) {
 	}
 }
 
+// TestMeasureSuiteWorkerInvariant pins MeasureSuite, the path the
+// daemon runs, to the serial answer at every worker count: each count
+// measures the whole suite on a fresh instance, so its compiled-trace
+// cache fills under that count's own interleaving.
+func TestMeasureSuiteWorkerInvariant(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range target.All() {
+		serial, err := MeasureSuite(ctx, mustLookup(t, name), nil, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			got, err := MeasureSuite(ctx, mustLookup(t, name), nil, 0, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				t.Errorf("%s workers=%d: %+v, serial %+v", name, workers, got, serial)
+			}
+		}
+	}
+}
+
 // TestNilTargetErrors calls each measurement, runner and renderer
 // entry point with a nil target: each must return an error before any
 // output, not panic.

@@ -18,6 +18,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -359,6 +360,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The scanner starts at its own 4 KiB, which reads a typical sweep
 	// body whole, and grows for a longer line up to the body limit.
 	sc.Buffer(nil, int(s.cfg.MaxBodyBytes))
+	// A read error reaches the split function as EOF would, so a line
+	// the body limit cut off would be answered as far as it was read.
+	// It gets no answer: the sweep ends in the error line instead.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if atEOF && in.err != nil && bytes.IndexByte(data, '\n') < 0 {
+			return 0, nil, in.err
+		}
+		return bufio.ScanLines(data, atEOF)
+	})
 	for sc.Scan() {
 		// A sweep whose client disconnected mid-stream must stop
 		// producing: the request context dies with the connection, and
@@ -403,6 +413,7 @@ type flushBeforeRead struct {
 	body    io.Reader
 	flusher http.Flusher // nil when the writer cannot flush
 	pending bool         // answers written since the last flush
+	err     error        // the body's read error other than io.EOF
 }
 
 func (f *flushBeforeRead) Read(p []byte) (int, error) {
@@ -410,7 +421,11 @@ func (f *flushBeforeRead) Read(p []byte) (int, error) {
 		f.flusher.Flush()
 	}
 	f.pending = false
-	return f.body.Read(p)
+	n, err := f.body.Read(p)
+	if err != nil && err != io.EOF {
+		f.err = err
+	}
+	return n, err
 }
 
 // queryContext applies the configured per-request deadline.

@@ -172,36 +172,6 @@ func TestFlopsNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestDump(t *testing.T) {
-	p := Program{
-		Name: "demo",
-		Phases: []Phase{
-			{Name: "work", Parallel: true, Barriers: 1, Loops: []Loop{{
-				Trips: 3,
-				Body: []Op{
-					{Class: VLoad, VL: 64, Stride: 2},
-					{Class: VGather, VL: 32, Span: 100},
-					{Class: VMul, VL: 64, FlopsPerElem: 4},
-					{Class: VIntrinsic, VL: 64, Intr: Exp},
-					{Class: Scalar, Count: 10},
-				},
-			}}},
-			{Name: "tail", SerialClocks: 500},
-		},
-	}
-	var b strings.Builder
-	if err := p.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"program demo", "parallel", "serial", "stride=2",
-		"span=100", "flops/elem=4", "EXP", "scalar x10", "500 serial clocks"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestPhaseFlopsSumsLoops(t *testing.T) {
 	ph := Phase{Loops: []Loop{
 		{Trips: 2, Body: []Op{{Class: VAdd, VL: 10}}},
