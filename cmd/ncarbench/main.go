@@ -94,7 +94,7 @@ func runMain(w io.Writer, o options) error {
 	if o.scenarios != 0 || o.fleetseed != 0 {
 		return fmt.Errorf("-scenarios and -fleetseed need -fleet")
 	}
-	injector, err := loadFaults(o.faults)
+	plan, err := loadFaults(o.faults)
 	if err != nil {
 		return err
 	}
@@ -124,11 +124,11 @@ func runMain(w io.Writer, o options) error {
 		benchmark = "all"
 	}
 	rop := ncar.ResilientOpts{
-		Injector:        injector,
+		Injector:        plan,
 		DeadlineSeconds: o.deadline,
 		MaxAttempts:     o.retries,
 	}
-	resilient := injector != nil || o.deadline > 0 || o.retries > 0
+	resilient := plan != nil || o.deadline > 0 || o.retries > 0
 	for _, tgt := range targets {
 		if len(targets) > 1 {
 			if _, err := fmt.Fprintf(w, "\n===== %s =====\n", tgt.Name()); err != nil {
@@ -182,10 +182,10 @@ func printCacheStats(w io.Writer, tgt sx4bench.Target, enabled bool) error {
 	return err
 }
 
-// loadFaults resolves the -faults value: empty means no injector, a
+// loadFaults resolves the -faults value: empty means no plan, a
 // decimal integer seeds a generated plan, anything else is read as a
 // schedule file.
-func loadFaults(arg string) (fault.Injector, error) {
+func loadFaults(arg string) (*fault.Plan, error) {
 	if arg == "" {
 		return nil, nil
 	}
@@ -239,7 +239,7 @@ func runOn(w io.Writer, tgt sx4bench.Target, benchmark string, cpus, workers int
 			return err
 		}
 		_, err = fmt.Fprintf(tw, "resilient: %s on %s: %d attempt(s), finished t=%.2fs (%s)\n",
-			res.Benchmark, res.Machine, res.Attempts, res.FinishedAt, res.Degraded)
+			name, tgt.Name(), res.Attempts, res.FinishedAt, res.Degraded)
 		return err
 	}
 	if benchmark != "all" {
@@ -247,7 +247,6 @@ func runOn(w io.Writer, tgt sx4bench.Target, benchmark string, cpus, workers int
 	}
 	var tasks []sched.Task
 	for _, b := range ncar.Suite() {
-		b := b
 		tasks = append(tasks, sched.Task{ID: b.Name, Run: func(tw io.Writer) error {
 			if _, err := fmt.Fprintf(tw, "\n--- %s (%s) ---\n", b.Name, b.Category); err != nil {
 				return err

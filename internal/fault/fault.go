@@ -13,14 +13,14 @@
 //     failure, a memory-bank degradation, an I/O-processor stall, or a
 //     mid-job kill;
 //   - a Plan is a seed-driven (SplitMix64) schedule of events, so a
-//     whole failure scenario is reproduced from one integer;
-//   - the Injector interface is how execution layers accept a plan: a
-//     window query for the events inside a simulated interval, and the
-//     cumulative machine Degradation in force at a time.
+//     whole failure scenario is reproduced from one integer; every
+//     execution layer takes one as a *Plan, walks its Events in
+//     delivery order, and asks it for the cumulative machine
+//     Degradation in force at a time.
 //
-// A nil *Plan is the canonical "no faults" injector: every consumer
-// treats it as an empty schedule, which is what pins the fault-free
-// goldens byte-identical to a build without this package.
+// A nil *Plan is the canonical "no faults" schedule: every consumer
+// treats it as an empty one, which is what pins the fault-free goldens
+// byte-identical to a build without this package.
 //
 // The package is a leaf: it imports only the standard library and the
 // splitmix stream, so the model layer, the OS model and the runners can
@@ -124,55 +124,15 @@ func (d Degradation) String() string {
 		d.CPUsLost, d.BankHalvings, d.PortHalvings, d.IOPsStalled)
 }
 
-// Injector delivers a fault schedule to an execution layer. A Plan is
-// the canonical implementation; layers accept the interface so tests
-// can hand-craft schedules.
-type Injector interface {
-	// Window returns the events with At in the half-open interval
-	// [from, to), in delivery order.
-	Window(from, to float64) []Event
-	// DegradationAt returns the cumulative machine degradation from
-	// every event delivered at or before simulated time t.
-	DegradationAt(t float64) Degradation
-}
-
-// Plan is a deterministic fault schedule: events sorted by delivery
-// time. The zero value and the nil plan are both empty (fault-free).
+// Plan is a deterministic fault schedule. The zero value and the nil
+// plan are both empty (fault-free). Consumers index Events directly
+// and rely on its invariant: events are in ascending At order (ties in
+// generation order) and every At is finite and >= 0. NewPlan draws
+// times in [0, horizon) and Parse rejects negative, NaN and huge ones,
+// so only a hand-built plan can break it.
 type Plan struct {
-	// Seed is the generating seed for seeded plans, zero for parsed or
-	// hand-built ones; it is carried for labeling only.
-	Seed int64
-	// Events is the schedule in delivery order (ascending At, ties in
-	// generation order).
+	// Events is the schedule in delivery order.
 	Events []Event
-}
-
-var _ Injector = (*Plan)(nil)
-
-// Empty reports whether the plan schedules no faults. Nil-safe.
-func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
-
-// Window returns the events with At in [from, to). Nil-safe.
-func (p *Plan) Window(from, to float64) []Event {
-	if p == nil {
-		return nil
-	}
-	n := 0
-	for _, e := range p.Events {
-		if e.At >= from && e.At < to {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	for _, e := range p.Events {
-		if e.At >= from && e.At < to {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // DegradationAt accumulates the machine impact of every event with
@@ -219,7 +179,7 @@ func NewPlan(seed int64, horizon float64, n int) *Plan {
 // Fill overwrites p with the schedule NewPlan(seed, horizon, n)
 // derives, reusing p's event storage.
 func (p *Plan) Fill(seed int64, horizon float64, n int) {
-	p.Seed, p.Events = seed, p.Events[:0]
+	p.Events = p.Events[:0]
 	if horizon <= 0 || n <= 0 {
 		return
 	}

@@ -48,7 +48,7 @@ func TestNewPlanSortedAndInHorizon(t *testing.T) {
 
 func TestNewPlanDegenerate(t *testing.T) {
 	for _, p := range []*Plan{NewPlan(1, 0, 5), NewPlan(1, 10, 0), NewPlan(1, -3, -1)} {
-		if !p.Empty() {
+		if len(p.Events) != 0 {
 			t.Errorf("degenerate plan not empty: %+v", p)
 		}
 	}
@@ -56,27 +56,12 @@ func TestNewPlanDegenerate(t *testing.T) {
 
 func TestNilPlanIsFaultFree(t *testing.T) {
 	var p *Plan
-	if !p.Empty() {
-		t.Error("nil plan not empty")
-	}
-	if got := p.Window(0, math.Inf(1)); got != nil {
-		t.Errorf("nil plan window = %v", got)
-	}
 	if d := p.DegradationAt(math.Inf(1)); !d.IsZero() {
 		t.Errorf("nil plan degradation = %v", d)
 	}
-}
-
-func TestWindowHalfOpen(t *testing.T) {
-	p := &Plan{Events: []Event{
-		{At: 1, Kind: CPUFail}, {At: 2, Kind: JobKill}, {At: 3, Kind: IOPStall},
-	}}
-	got := p.Window(1, 3)
-	if len(got) != 2 || got[0].At != 1 || got[1].At != 2 {
-		t.Errorf("Window(1,3) = %v, want the events at 1 and 2", got)
-	}
-	if got := p.Window(3.5, 10); len(got) != 0 {
-		t.Errorf("Window(3.5,10) = %v, want empty", got)
+	var buf strings.Builder
+	if err := p.Format(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("nil plan formatted %q, %v", buf.String(), err)
 	}
 }
 
@@ -165,9 +150,6 @@ func TestParseErrors(t *testing.T) {
 
 func TestCanonicalPlanShape(t *testing.T) {
 	p := Canonical()
-	if p.Empty() {
-		t.Fatal("canonical plan is empty")
-	}
 	if len(p.Events) != CanonicalEvents {
 		t.Fatalf("canonical plan has %d events, want %d", len(p.Events), CanonicalEvents)
 	}

@@ -14,8 +14,6 @@ import (
 	"math"
 	"math/rand"
 
-	"sx4bench/internal/core/sched"
-	"sx4bench/internal/sx4/commreg"
 	"sx4bench/internal/sx4/prog"
 )
 
@@ -55,22 +53,6 @@ func (k Copy) Host(a []float64) []float64 {
 	return b
 }
 
-// HostParallel executes the copy with the instance loop microtasked
-// across workers (the repo convention: 0 means GOMAXPROCS, 1 the plain
-// serial path). Rows are disjoint, so the output is identical to Host
-// for any worker count.
-func (k Copy) HostParallel(a []float64, workers int) []float64 {
-	if len(a) != k.N*k.M {
-		panic(fmt.Sprintf("kernels: COPY input length %d, want %d", len(a), k.N*k.M))
-	}
-	b := make([]float64, len(a))
-	commreg.ParallelFor(sched.Workers(workers), k.M, func(j int) {
-		row := j * k.N
-		copy(b[row:row+k.N], a[row:row+k.N])
-	})
-	return b
-}
-
 // IA describes one instance of the indirect-address benchmark:
 //
 //	do j=1,M; do i=1,N; b(i,j)=a(indx(i),j); end do; end do
@@ -102,22 +84,6 @@ func (k IA) Host(a []float64, indx []int) []float64 {
 			b[row+i] = a[row+indx[i]]
 		}
 	}
-	return b
-}
-
-// HostParallel executes the gather with the instance loop microtasked
-// across workers; identical output to Host for any worker count.
-func (k IA) HostParallel(a []float64, indx []int, workers int) []float64 {
-	if len(a) != k.N*k.M || len(indx) != k.N {
-		panic("kernels: IA input shape mismatch")
-	}
-	b := make([]float64, k.N*k.M)
-	commreg.ParallelFor(sched.Workers(workers), k.M, func(j int) {
-		row := j * k.N
-		for i := 0; i < k.N; i++ {
-			b[row+i] = a[row+indx[i]]
-		}
-	})
 	return b
 }
 
@@ -166,25 +132,6 @@ func (k Xpose) Host(a []float64) []float64 {
 			}
 		}
 	}
-	return b
-}
-
-// HostParallel transposes with the matrix (instance) loop microtasked
-// across workers; identical output to Host for any worker count.
-func (k Xpose) HostParallel(a []float64, workers int) []float64 {
-	if len(a) != k.N*k.N*k.M {
-		panic("kernels: XPOSE input shape mismatch")
-	}
-	b := make([]float64, len(a))
-	n := k.N
-	commreg.ParallelFor(sched.Workers(workers), k.M, func(m int) {
-		base := m * n * n
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				b[base+j*n+i] = a[base+i*n+j]
-			}
-		}
-	})
 	return b
 }
 

@@ -8,11 +8,6 @@ import (
 	"sx4bench/internal/target"
 )
 
-var (
-	_ target.Degrader = (*Vector)(nil)
-	_ target.Degrader = (*Workstation)(nil)
-)
-
 // Degraded reconfigures the Cray model around the failed components by
 // delegating to the embedded sx4 engine, preserving the scalar profile.
 // (The promoted sx4.Machine Degraded would drop it, like Clone.)

@@ -7,7 +7,6 @@ import (
 
 	"sx4bench/internal/ccm2"
 	"sx4bench/internal/core/sched"
-	"sx4bench/internal/fault"
 	"sx4bench/internal/fftpack"
 	"sx4bench/internal/iobench"
 	"sx4bench/internal/kernels"
@@ -208,19 +207,6 @@ func MeasureSuite(ctx context.Context, m target.Target, names []string, cpus, wo
 	})
 }
 
-// ResilientMeasurement couples one member's structured result with the
-// fault-schedule outcome of the attempt that produced it.
-type ResilientMeasurement struct {
-	Measurement Measurement
-	// Attempts and FinishedAt mirror ResilientResult: the attempt count
-	// including aborted ones and the simulated completion time.
-	Attempts   int
-	FinishedAt float64
-	// Degraded is the machine degradation in force during the
-	// successful attempt.
-	Degraded fault.Degradation
-}
-
 // MeasureResilient is Measure under a fault schedule: the retry loop of
 // RunResilient, returning the measurement of the attempt that survived
 // (the same model run that timed the attempt) instead of rendered text.
@@ -230,13 +216,8 @@ func MeasureResilient(ctx context.Context, m target.Target, name string, cpus in
 	if err := ctx.Err(); err != nil {
 		return ResilientMeasurement{}, abandoned(ctx, name)
 	}
-	_, meas, res, err := runAttempts(m, name, cpus, opts)
-	return ResilientMeasurement{
-		Measurement: meas,
-		Attempts:    res.Attempts,
-		FinishedAt:  res.FinishedAt,
-		Degraded:    res.Degraded,
-	}, err
+	_, res, err := runAttempts(m, name, cpus, opts)
+	return res, err
 }
 
 // MeasureSuiteResilient is MeasureSuite under a fault schedule; each

@@ -33,7 +33,7 @@ func (c countingTarget) RunCompiled(cp *prog.Compiled, opts target.RunOpts) targ
 }
 
 func (c countingTarget) Degraded(d fault.Degradation) (target.Target, error) {
-	dm, err := target.Degrade(c.Target, d)
+	dm, err := c.Target.Degraded(d)
 	if err != nil {
 		return nil, err
 	}

@@ -40,9 +40,9 @@ func resilienceSystem() *superux.System {
 
 // resilienceMakespan runs the fixed workload at the machine's RADABS
 // rate under the given schedule and reports the accounting.
-func resilienceMakespan(mflops float64, inj fault.Injector) (makespan float64, recovered, failed, lost int) {
+func resilienceMakespan(mflops float64, plan *fault.Plan) (makespan float64, recovered, failed, lost int) {
 	s := resilienceSystem()
-	s.SetInjector(inj)
+	s.SetInjector(plan)
 	for _, j := range resilienceWorks {
 		s.Submit(superux.Job{
 			Name: "work", Block: "batch", CPUs: j.cpus, MemGB: 4,
@@ -59,9 +59,9 @@ func resilienceMakespan(mflops float64, inj fault.Injector) (makespan float64, r
 // and in the schedule's end-state degraded mode, and the SUPER-UX
 // makespan of a fixed batch workload fault-free versus faulted, with
 // the recovered/failed/lost job accounting. A machine the schedule
-// leaves with no surviving CPU reads "down". With a nil injector the
+// leaves with no surviving CPU reads "down". With a nil plan the
 // faulted columns equal the healthy ones — the fault-free identity.
-func ResilienceTable(inj fault.Injector) (core.Table, error) {
+func ResilienceTable(plan *fault.Plan) (core.Table, error) {
 	t := core.Table{
 		ID:    "resilience",
 		Title: "Resilience under the canonical fault schedule (RADABS MFLOPS, fixed batch workload)",
@@ -70,10 +70,7 @@ func ResilienceTable(inj fault.Injector) (core.Table, error) {
 			"Makespan s", "Faulted s", "Recovered", "Failed", "Lost",
 		},
 	}
-	var end fault.Degradation
-	if inj != nil {
-		end = inj.DegradationAt(math.Inf(1))
-	}
+	end := plan.DegradationAt(math.Inf(1))
 	for _, name := range ResilienceMachines {
 		tgt, err := target.Shared(name)
 		if err != nil {
@@ -81,7 +78,7 @@ func ResilienceTable(inj fault.Injector) (core.Table, error) {
 		}
 		healthy := RADABSMFlops(tgt)
 		healthyMakespan, _, _, _ := resilienceMakespan(healthy, nil)
-		faultedMakespan, recovered, failed, lost := resilienceMakespan(healthy, inj)
+		faultedMakespan, recovered, failed, lost := resilienceMakespan(healthy, plan)
 
 		degradedCell, slowdownCell := "down", "down"
 		dt, err := target.Degrade(tgt, end)

@@ -28,7 +28,7 @@ var (
 type ResilientOpts struct {
 	// Injector is the fault schedule (nil = fault-free). Time zero of
 	// the schedule is the benchmark's start.
-	Injector fault.Injector
+	Injector *fault.Plan
 	// DeadlineSeconds bounds the simulated completion time; 0 means no
 	// deadline.
 	DeadlineSeconds float64
@@ -45,11 +45,14 @@ const (
 	BackoffCapSeconds  = 60.0
 )
 
-// ResilientResult describes how a resilient run completed.
-type ResilientResult struct {
-	Benchmark string
-	Machine   string
-	Attempts  int
+// ResilientMeasurement describes how a resilient run completed: the
+// structured result of the attempt that survived and the fault-schedule
+// outcome that produced it.
+type ResilientMeasurement struct {
+	Measurement Measurement
+	// Attempts counts every attempt, aborted ones included. It is set
+	// on error too: the attempt that failed is the last one counted.
+	Attempts int
 	// FinishedAt is the simulated completion time, including aborted
 	// attempts and backoff.
 	FinishedAt float64
@@ -66,8 +69,8 @@ type ResilientResult struct {
 // attempt that completes. Fault times are interpreted relative to the
 // benchmark's own start (t = 0), so per-benchmark timelines are
 // independent and a multi-benchmark sweep stays deterministic.
-func RunResilient(w io.Writer, m target.Target, name string, cpus int, opts ResilientOpts) (ResilientResult, error) {
-	dm, _, res, err := runAttempts(m, name, cpus, opts)
+func RunResilient(w io.Writer, m target.Target, name string, cpus int, opts ResilientOpts) (ResilientMeasurement, error) {
+	dm, res, err := runAttempts(m, name, cpus, opts)
 	if err != nil {
 		return res, err
 	}
@@ -83,18 +86,17 @@ func RunResilient(w io.Writer, m target.Target, name string, cpus int, opts Resi
 // MeasureResilient. Each attempt evaluates the member once on the
 // machine as degraded by the faults so far, and that evaluation's
 // Seconds is the attempt's duration. It returns the surviving attempt's
-// degraded machine and measurement alongside the attempt accounting,
-// leaving what to do with them (render text, report the measurement)
-// to the caller.
-func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (target.Target, Measurement, ResilientResult, error) {
+// degraded machine alongside its measurement and the attempt
+// accounting, leaving what to do with them (render text, report the
+// measurement) to the caller.
+func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (target.Target, ResilientMeasurement, error) {
+	var res ResilientMeasurement
 	if m == nil {
-		return nil, Measurement{}, ResilientResult{Benchmark: name},
-			fmt.Errorf("ncar: nil target for resilient run %q", name)
+		return nil, res, fmt.Errorf("ncar: nil target for resilient run %q", name)
 	}
-	res := ResilientResult{Benchmark: name, Machine: m.Name()}
 	b, err := ByName(name)
 	if err != nil {
-		return nil, Measurement{}, res, err
+		return nil, res, err
 	}
 	if cpus <= 0 {
 		cpus = m.Spec().CPUs
@@ -103,23 +105,19 @@ func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (ta
 	if maxAttempts <= 0 {
 		maxAttempts = DefaultMaxAttempts
 	}
-	inj := opts.Injector
 
 	t := 0.0
 	backoff := BackoffBaseSeconds
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		res.Attempts = attempt
-		var d fault.Degradation
-		if inj != nil {
-			d = inj.DegradationAt(t)
-		}
+		d := opts.Injector.DegradationAt(t)
 		dm, err := target.Degrade(m, d)
 		if err != nil {
-			return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s at t=%s: %w",
+			return nil, res, fmt.Errorf("ncar: %s on %s at t=%s: %w",
 				name, m.Name(), secs(t), err)
 		}
 		meas := evaluate(dm, b, cpus)
-		if abortAt, aborted := firstAbort(inj, t, t+meas.Seconds); aborted {
+		if abortAt, aborted := firstAbort(opts.Injector, t, t+meas.Seconds); aborted {
 			// The fault checkpoints the attempt; retry after backoff.
 			t = abortAt + backoff
 			backoff *= 2
@@ -127,34 +125,33 @@ func runAttempts(m target.Target, name string, cpus int, opts ResilientOpts) (ta
 				backoff = BackoffCapSeconds
 			}
 			if opts.DeadlineSeconds > 0 && t > opts.DeadlineSeconds {
-				return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s: aborted at t=%s, next attempt past deadline %s: %w",
+				return nil, res, fmt.Errorf("ncar: %s on %s: aborted at t=%s, next attempt past deadline %s: %w",
 					name, m.Name(), secs(abortAt), secs(opts.DeadlineSeconds), ErrDeadlineExceeded)
 			}
 			continue
 		}
 		t += meas.Seconds
 		if opts.DeadlineSeconds > 0 && t > opts.DeadlineSeconds {
-			return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s: would finish at t=%s, deadline %s: %w",
+			return nil, res, fmt.Errorf("ncar: %s on %s: would finish at t=%s, deadline %s: %w",
 				name, m.Name(), secs(t), secs(opts.DeadlineSeconds), ErrDeadlineExceeded)
 		}
-		res.FinishedAt = t
-		res.Degraded = d
-		return dm, meas, res, nil
+		res.Measurement, res.FinishedAt, res.Degraded = meas, t, d
+		return dm, res, nil
 	}
-	return nil, Measurement{}, res, fmt.Errorf("ncar: %s on %s: %d attempts aborted by faults: %w",
+	return nil, res, fmt.Errorf("ncar: %s on %s: %d attempts aborted by faults: %w",
 		name, m.Name(), maxAttempts, ErrRetriesExhausted)
 }
 
 // firstAbort returns the time of the first attempt-killing fault in
 // [from, to): a processor failure or a job kill. Bank and IOP events
 // degrade the machine for subsequent attempts but do not abort a run
-// in flight.
-func firstAbort(inj fault.Injector, from, to float64) (float64, bool) {
-	if inj == nil {
+// in flight. Nil-safe.
+func firstAbort(p *fault.Plan, from, to float64) (float64, bool) {
+	if p == nil {
 		return 0, false
 	}
-	for _, e := range inj.Window(from, to) {
-		if e.Kind == fault.CPUFail || e.Kind == fault.JobKill {
+	for _, e := range p.Events {
+		if e.At >= from && e.At < to && (e.Kind == fault.CPUFail || e.Kind == fault.JobKill) {
 			return e.At, true
 		}
 	}

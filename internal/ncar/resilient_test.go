@@ -58,6 +58,27 @@ func TestRunResilientRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
+// TestRunResilientAbortWindowHalfOpen pins the window an attempt can
+// be aborted in, [start, end): a kill at the attempt's start aborts
+// it, and a kill exactly at its end finds it finished.
+func TestRunResilientAbortWindowHalfOpen(t *testing.T) {
+	m := machine.SX4Benchmarked()
+	healthy, err := Measure(context.Background(), m, "RADABS", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		at       float64
+		attempts int
+	}{{0, 2}, {healthy.Seconds, 1}} {
+		plan := &fault.Plan{Events: []fault.Event{{At: tc.at, Kind: fault.JobKill}}}
+		res, err := RunResilient(nil, m, "RADABS", 1, ResilientOpts{Injector: plan})
+		if err != nil || res.Attempts != tc.attempts {
+			t.Errorf("kill at t=%v: %d attempts, %v; want %d", tc.at, res.Attempts, err, tc.attempts)
+		}
+	}
+}
+
 func TestRunResilientRetriesExhausted(t *testing.T) {
 	m := machine.SX4Benchmarked()
 	// Kills densely packed far beyond any attempt horizon.

@@ -358,8 +358,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	in := &flushBeforeRead{body: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), flusher: flusher}
 	sc := bufio.NewScanner(in)
 	// The scanner starts at its own 4 KiB, which reads a typical sweep
-	// body whole, and grows for a longer line up to the body limit.
-	sc.Buffer(nil, int(s.cfg.MaxBodyBytes))
+	// body whole, and grows for a longer line up to the body limit. It
+	// may grow one byte past the limit: a full-limit line with no final
+	// newline must fit with room left to read on and see EOF, or it
+	// would be answered "token too long".
+	sc.Buffer(nil, int(s.cfg.MaxBodyBytes)+1)
 	// A read error reaches the split function as EOF would, so a line
 	// the body limit cut off would be answered as far as it was read.
 	// It gets no answer: the sweep ends in the error line instead.

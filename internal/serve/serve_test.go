@@ -381,7 +381,8 @@ func TestSweepAnswersBeforeNextLine(t *testing.T) {
 
 // TestSweepLineLongerThanStartBuffer pins the sweep scanner's growth
 // path: a line far longer than the scanner's 4 KiB start buffer is read
-// whole and answered in its place. A line the body limit cuts gets no
+// whole and answered in its place, and so is a body that is one line
+// of exactly the body limit. A line the body limit cuts gets no
 // answer, whether the cut falls mid-JSON or in its trailing white
 // space: the sweep answers the lines before it and ends in the body
 // limit's error line, as /v1/run answers no partial body.
@@ -414,6 +415,11 @@ func TestSweepLineLongerThanStartBuffer(t *testing.T) {
 		if got := strings.SplitAfter(rr.Body.String(), "\n"); len(got) != 3 || got[0] != want[0] || got[1] != limit || got[2] != "" {
 			t.Fatalf("sweep with a line past MaxBodyBytes answered\n%.300s", rr.Body.String())
 		}
+	}
+
+	exact := queries[0] + strings.Repeat(" ", 256<<10-len(queries[0]))
+	if rr = post(t, s, "/v1/sweep", exact); rr.Body.String() != want[0] {
+		t.Fatalf("sweep of one %d-byte line answered\n%.300s", len(exact), rr.Body.String())
 	}
 }
 

@@ -1,7 +1,6 @@
 package superux
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -15,33 +14,19 @@ const RestartOverheadSeconds = 5.0
 
 // SetInjector attaches a fault schedule. Events are delivered during
 // Advance/AdvanceUntil, interleaved with job completions in
-// simulated-time order. A nil injector (the default) is fault-free;
+// simulated-time order. A nil plan (the default) is fault-free;
 // attaching one after a Restart resumes delivery where the checkpoint
-// left off.
-func (s *System) SetInjector(inj fault.Injector) {
-	s.injector = inj
-	s.schedule = nil
-	s.scheduleLoaded = false
-}
+// left off. The system reads the plan's events in place, so the plan
+// must not change while it is attached.
+func (s *System) SetInjector(p *fault.Plan) { s.plan = p }
 
 // nextFaultAt returns the delivery time of the earliest schedule event
 // not yet delivered.
 func (s *System) nextFaultAt() (float64, bool) {
-	if !s.scheduleLoaded {
-		s.loadSchedule()
-	}
-	if s.faultsDelivered >= len(s.schedule) {
+	if s.plan == nil || s.faultsDelivered >= len(s.plan.Events) {
 		return 0, false
 	}
-	return s.schedule[s.faultsDelivered].At, true
-}
-
-// loadSchedule caches the attached injector's whole event window.
-func (s *System) loadSchedule() {
-	if s.injector != nil {
-		s.schedule = s.injector.Window(0, math.Inf(1))
-	}
-	s.scheduleLoaded = true
+	return s.plan.Events[s.faultsDelivered].At, true
 }
 
 // deliverFault applies the next undelivered schedule event (callers
@@ -50,7 +35,7 @@ func (s *System) loadSchedule() {
 // job kills checkpoint and requeue the victim; bank and IOP events
 // degrade only the machine models, not the scheduler.
 func (s *System) deliverFault() {
-	e := &s.schedule[s.faultsDelivered]
+	e := &s.plan.Events[s.faultsDelivered]
 	if e.At > s.Clock {
 		s.Clock = e.At
 	}

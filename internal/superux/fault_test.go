@@ -17,9 +17,9 @@ func twoBlockSystem() *System {
 }
 
 func TestEmptyInjectorEquivalentToNil(t *testing.T) {
-	run := func(inj fault.Injector) (float64, string) {
+	run := func(p *fault.Plan) (float64, string) {
 		s := NewSystem(ResourceBlock{Name: "b", MaxCPUs: 4, MemGB: 32, Policy: FIFO})
-		s.SetInjector(inj)
+		s.SetInjector(p)
 		id := s.Submit(Job{Name: "j", Block: "b", CPUs: 2, MemGB: 1, Seconds: 10})
 		end := s.Advance()
 		out, _ := s.QCat(id)
@@ -27,13 +27,8 @@ func TestEmptyInjectorEquivalentToNil(t *testing.T) {
 	}
 	nilEnd, nilOut := run(nil)
 	emptyEnd, emptyOut := run(&fault.Plan{})
-	var nilPlan *fault.Plan
-	nilPlanEnd, nilPlanOut := run(nilPlan)
 	if nilEnd != emptyEnd || nilOut != emptyOut {
-		t.Errorf("empty plan diverged from nil injector: %v/%q vs %v/%q", emptyEnd, emptyOut, nilEnd, nilOut)
-	}
-	if nilEnd != nilPlanEnd || nilOut != nilPlanOut {
-		t.Errorf("nil *Plan diverged from nil injector: %v vs %v", nilPlanEnd, nilEnd)
+		t.Errorf("empty plan diverged from nil plan: %v/%q vs %v/%q", emptyEnd, emptyOut, nilEnd, nilOut)
 	}
 }
 
@@ -140,9 +135,9 @@ func TestCompletionWinsTieWithFault(t *testing.T) {
 }
 
 func TestMachineLevelFaultsDoNotTouchScheduler(t *testing.T) {
-	mk := func(inj fault.Injector) float64 {
+	mk := func(p *fault.Plan) float64 {
 		s := twoBlockSystem()
-		s.SetInjector(inj)
+		s.SetInjector(p)
 		s.Submit(Job{Name: "a", Block: "batch", CPUs: 4, MemGB: 4, Seconds: 25})
 		s.Submit(Job{Name: "b", Block: "spare", CPUs: 4, MemGB: 4, Seconds: 15})
 		return s.Advance()

@@ -14,7 +14,7 @@ package superux
 // Returning true accepts the job — its state here becomes Migrated
 // (terminal on this node) and the caller owns resubmitting the
 // remaining work elsewhere. A nil migrator (the default) restores the
-// single-node behaviour: homeless jobs fail. Like the fault injector,
+// single-node behaviour: homeless jobs fail. Like the fault plan,
 // the migrator is runner-owned and never rides a checkpoint; re-attach
 // it after Restart.
 func (s *System) SetMigrator(fn func(Job) bool) { s.migrator = fn }

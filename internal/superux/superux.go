@@ -137,21 +137,16 @@ type System struct {
 	// nextCompletion); 0 means it must be found again.
 	nextDone int
 
-	// injector is the attached fault schedule (nil = fault-free);
-	// faultsDelivered counts schedule events already applied, so a
+	// plan is the attached fault schedule (nil = fault-free);
+	// faultsDelivered counts its events already applied, so a
 	// checkpointed system never redelivers a fault after Restart.
-	injector        fault.Injector
+	plan            *fault.Plan
 	faultsDelivered int
-	// schedule caches the injector's full event window: the event loop
-	// consults the next undelivered fault on every step, and the
-	// schedule is immutable once attached.
-	schedule       []fault.Event
-	scheduleLoaded bool
 
 	// migrator, when installed, is offered every job a fault leaves
 	// homeless on this node before the job is declared Failed; see
-	// SetMigrator. Like the injector it is runner-owned state and is
-	// never serialized into a checkpoint.
+	// SetMigrator. Like the plan it is runner-owned state and is never
+	// serialized into a checkpoint.
 	migrator func(Job) bool
 }
 
@@ -175,7 +170,7 @@ func NewSystem(blocks ...ResourceBlock) *System {
 }
 
 // Reset returns the system to the state NewSystem(blocks...) builds —
-// no jobs, no complexes, clock zero, no fault injector or migrator —
+// no jobs, no complexes, clock zero, no fault plan or migrator —
 // while keeping its storage for reuse. Block names must be unique and
 // CPU limits positive.
 func (s *System) Reset(blocks ...ResourceBlock) {
@@ -186,8 +181,7 @@ func (s *System) Reset(blocks ...ResourceBlock) {
 	s.complexes = s.complexes[:0]
 	s.Clock, s.nextID, s.nextDone = 0, 0, 0
 	s.queue, s.active, s.log = s.queue[:0], s.active[:0], s.log[:0]
-	s.SetInjector(nil)
-	s.faultsDelivered = 0
+	s.plan, s.faultsDelivered = nil, 0
 	s.migrator = nil
 }
 
@@ -558,8 +552,8 @@ func (s *System) Makespan() float64 {
 
 // snapshot is the serializable scheduler state: blocks and complexes
 // in registration order and job id i+1 at Jobs[i], so one state always
-// encodes to one byte string. The fault injector is deliberately not
-// serialized (it is an interface the runner owns); FaultsDelivered
+// encodes to one byte string. The fault plan is deliberately not
+// serialized (the runner owns it and re-attaches it); FaultsDelivered
 // survives so a restarted system with the same schedule re-attached
 // never redelivers an already-applied fault.
 type snapshot struct {

@@ -7,14 +7,10 @@ import (
 	"sx4bench/internal/target"
 )
 
-// Machine implements target.Degrader: the SX-4's node-level
-// reconfiguration story. SUPER-UX configures failed components out and
-// the node keeps running in a degraded mode; the model expresses that
-// as a fresh machine with a reduced configuration.
-var _ target.Degrader = (*Machine)(nil)
-
-// Degraded returns a fresh machine reconfigured around the failed
-// components:
+// Degraded is the SX-4's node-level reconfiguration story. SUPER-UX
+// configures failed components out and the node keeps running in a
+// degraded mode; the model expresses that as a fresh machine
+// reconfigured around the failed components:
 //
 //   - each lost CPU shrinks the node's processor count;
 //   - each bank halving configures out half of the working memory
@@ -38,7 +34,7 @@ func (m *Machine) Degraded(d fault.Degradation) (target.Target, error) {
 
 // degradedConfig applies a degradation to a configuration; shared with
 // the Cray comparator models in internal/machine.
-func degradedConfig(cfg Config, d Degradation) (Config, error) {
+func degradedConfig(cfg Config, d fault.Degradation) (Config, error) {
 	if d.CPUsLost >= cfg.CPUs {
 		return Config{}, fmt.Errorf("sx4: %s: %d of %d CPUs failed: %w",
 			cfg.Name, d.CPUsLost, cfg.CPUs, target.ErrMachineDown)
@@ -62,10 +58,6 @@ func degradedConfig(cfg Config, d Degradation) (Config, error) {
 	}
 	return cfg, nil
 }
-
-// Degradation is the machine-level fault impact (see internal/fault);
-// the alias keeps model-layer signatures free of a second import.
-type Degradation = fault.Degradation
 
 func halved(n int) int {
 	if n <= 1 {

@@ -19,12 +19,15 @@
 //     reports the one CacheStats type, and TraceCache, which holds
 //     compiled traces keyed by their shape parameters.
 //
-// The package depends only on sx4/prog (the trace vocabulary) and the
-// standard library; the concrete machines depend on it, never the
-// other way around.
+// The package depends only on sx4/prog (the trace vocabulary), fault
+// (the degradation vocabulary) and the standard library; the concrete
+// machines depend on it, never the other way around.
 package target
 
-import "sx4bench/internal/sx4/prog"
+import (
+	"sx4bench/internal/fault"
+	"sx4bench/internal/sx4/prog"
+)
 
 // RunOpts controls one simulated execution.
 type RunOpts struct {
@@ -168,4 +171,10 @@ type Target interface {
 	// cold compiled-trace cache. Clones must be run-for-run identical
 	// to the original (Conformance pins this).
 	Clone() Target
+	// Degraded returns a fresh target with the components a fault
+	// Degradation names configured out. Its own fingerprint keeps
+	// healthy results from being served for it, it is never faster
+	// than the original on any trace, and a degradation that leaves no
+	// surviving CPU is an error wrapping ErrMachineDown.
+	Degraded(d fault.Degradation) (Target, error)
 }

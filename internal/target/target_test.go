@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sx4bench/internal/fault"
 	"sx4bench/internal/sx4/prog"
 )
 
@@ -41,6 +42,9 @@ func (s *stub) Spec() Spec {
 }
 func (s *stub) Fingerprint() uint64 { return s.fp }
 func (s *stub) Clone() Target       { c := *s; return &c }
+func (s *stub) Degraded(fault.Degradation) (Target, error) {
+	return nil, ErrMachineDown
+}
 
 // registerStubs adds the stub machines to the process-global registry
 // once per process, so the tests here pass again under -count.

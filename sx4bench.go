@@ -71,8 +71,11 @@ func Experiments() []string {
 }
 
 // RunExperiment regenerates one paper experiment by identifier and
-// writes it as text to w.
+// writes it as text to w. A nil target is an error, before any output.
 func RunExperiment(w io.Writer, m Target, id string) error {
+	if m == nil {
+		return fmt.Errorf("sx4bench: nil target for experiment %q", id)
+	}
 	switch id {
 	case "table1":
 		return core.WriteTable(w, ncar.Table1())
@@ -189,11 +192,14 @@ func RunAll(w io.Writer, m Target) error {
 // Experiments() order, so the stream is byte-identical for every
 // worker count; an experiment's error does not cancel the others, and
 // the first failing experiment (in order) determines where the stream
-// stops and which error is returned — exactly the serial behaviour.
+// stops and which error is returned — exactly the serial behaviour. A
+// nil target fails the first experiment before any output.
 func RunAllWorkers(w io.Writer, m Target, workers int) error {
+	if m == nil {
+		return RunExperiment(w, nil, Experiments()[0])
+	}
 	var tasks []sched.Task
 	for _, id := range Experiments() {
-		id := id
 		tasks = append(tasks, sched.Task{ID: id, Run: func(tw io.Writer) error {
 			if _, err := fmt.Fprintf(tw, "\n=== %s ===\n", id); err != nil {
 				return err

@@ -59,6 +59,23 @@ func TestRunExperimentUnknown(t *testing.T) {
 	}
 }
 
+// TestNilTargetErrors pins the facade's nil-target check: every
+// experiment, and the whole run, fails with an error that names the
+// experiment before writing a byte.
+func TestNilTargetErrors(t *testing.T) {
+	for _, id := range sx4bench.Experiments() {
+		var buf bytes.Buffer
+		err := sx4bench.RunExperiment(&buf, nil, id)
+		if err == nil || !strings.Contains(err.Error(), id) || buf.Len() != 0 {
+			t.Errorf("experiment %s on a nil target: %v, %d bytes written", id, err, buf.Len())
+		}
+	}
+	var buf bytes.Buffer
+	if err := sx4bench.RunAllWorkers(&buf, nil, 2); err == nil || buf.Len() != 0 {
+		t.Errorf("RunAllWorkers on a nil target: %v, %d bytes written", err, buf.Len())
+	}
+}
+
 func TestRunAllOutput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sx4bench.RunAll(&buf, sx4bench.Benchmarked()); err != nil {
